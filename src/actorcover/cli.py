@@ -9,6 +9,7 @@ printed to the console only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -105,17 +106,19 @@ def cmd_gensuite(args) -> int:
     algorithm = ALGORITHMS[args.algorithm]
     path = Path(args.graph)
     try:
-        head = path.read_text(encoding="utf-8").lstrip()[: len(suitefile.FORMAT_VERSION)]
+        with open(path, "rb") as handle:
+            first = handle.readline()
+        if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
+            graph_file = suitefile.read_graph_file(path)
+            graph, cover = graph_file.header, graph_file.cover_graph()
+        else:
+            data = path.read_bytes()
+            cover = suitefile.parse_edge_list(data.decode("utf-8"))
+            digest = hashlib.sha256(data).hexdigest()
+            graph = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        if head == suitefile.FORMAT_VERSION:
-            graph_file = suitefile.read_graph_file(path)
-            cover = graph_file.cover_graph()
-        else:
-            graph_file = None
-            cover = suitefile.parse_edge_list(path.read_text(encoding="utf-8"))
     except MalformedInputError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -128,20 +131,7 @@ def cmd_gensuite(args) -> int:
               file=sys.stderr)
         return VERIFY_ERROR
     if args.out:
-        if graph_file is None:
-            suitefile.write_paths_file(args.out, canon.Record(paths=suite.path_count), suite)
-        else:
-            steps = [
-                [graph_file.edge_label(eid) for eid in path_ids] for path_ids in suite.paths
-            ]
-            suitefile.write_suite_file(
-                args.out,
-                graph_file.model,
-                graph_file.bounds,
-                graph_file.stats,
-                graph_file.states,
-                steps,
-            )
+        suitefile.write_suite_file(args.out, path, graph, suite)
     rate = suite.path_count / elapsed if elapsed > 0 else float("inf")
     print(
         json.dumps(
@@ -170,13 +160,13 @@ def cmd_run(args) -> int:
     except MalformedInputError as exc:
         print(f"error: {args.suite}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if suite.model != spec.name:
+    if suite.header.model != spec.name:
         print(
-            f"error: suite was generated for model {suite.model!r}, not {spec.name!r}",
+            f"error: suite was generated for model {suite.header.model!r}, not {spec.name!r}",
             file=sys.stderr,
         )
         return USAGE_ERROR
-    bounds = spec.bounds_from_value(suite.bounds)
+    bounds = spec.bounds_from_value(suite.header.bounds)
     if args.mutant:
         try:
             factory = lambda: spec.mutants[args.mutant](bounds)  # noqa: E731
@@ -216,7 +206,7 @@ def cmd_replay(args) -> int:
     expected_hash = None
     if args.suite:
         try:
-            expected_hash = suitefile.read_suite_file(args.suite).content_hash
+            expected_hash = suitefile.read_header(args.suite, ("suite",)).content_hash
         except MalformedInputError as exc:
             print(f"error: {args.suite}: {exc}", file=sys.stderr)
             return USAGE_ERROR
@@ -231,42 +221,26 @@ def cmd_replay(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    path = Path(args.file)
-    last_error = None
-    for reader, kind in (
-        (suitefile.read_graph_file, "graph"),
-        (suitefile.read_suite_file, "suite"),
-        (suitefile.read_paths_file, "paths"),
-    ):
-        try:
-            loaded = reader(path)
-        except MalformedInputError as exc:
-            last_error = exc
-            continue
-        stats = dict(loaded.stats)
-        row = {
-            "kind": kind,
-            "diameter": stats.get("diameter"),
-            "states": stats.get("states"),
-            "edges": stats.get("edges"),
-        }
-        if kind != "graph":
-            row["paths"] = len(loaded.paths)
-            row["total_length"] = (
-                loaded.total_length
-                if kind == "suite"
-                else sum(len(p) for p in loaded.paths)
-            )
-        print(json.dumps(row, sort_keys=True))
-        headline = (
-            f"D={row['diameter']} |V|={row['states']} |E|={row['edges']}"
-        )
-        if "paths" in row:
-            headline += f" |P|={row['paths']} total={row['total_length']}"
-        print(headline)
-        return 0
-    print(f"error: {path}: {last_error}", file=sys.stderr)
-    return USAGE_ERROR
+    try:
+        header = suitefile.read_header(args.file)
+    except MalformedInputError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    stats = header.stats
+    row = {
+        "kind": header.kind,
+        "diameter": stats.get("diameter"),
+        "states": stats.get("states"),
+        "edges": stats.get("edges"),
+    }
+    headline = f"D={row['diameter']} |V|={row['states']} |E|={row['edges']}"
+    if header.kind == "suite":
+        row["paths"] = stats.get("paths")
+        row["total_length"] = stats.get("total_length")
+        headline += f" |P|={row['paths']} total={row['total_length']}"
+    print(json.dumps(row, sort_keys=True))
+    print(headline)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,10 +2,11 @@
 
 For every path edge the runner applies the action to a fresh emulated
 implementation, projects the implementation with the actors' to-model
-mappings and requires exact structural equality with the system state
-recorded in the suite: actor by actor, liveness flag by liveness flag,
-and the unprocessed-event set as a set.  The first mismatching step ends
-the path with a structured diff; other paths keep running.
+mappings and requires exact structural equality with the edge's
+destination state in the suite's graph: actor by actor, liveness flag by
+liveness flag, and the unprocessed-event set as a set.  The first
+mismatching step ends the path with a structured diff; other paths keep
+running.
 
 Every failure is written as a self-contained replay log (actions plus
 expected states, pinned to the suite's content hash) that reproduces the
@@ -166,7 +167,11 @@ def run_path(
     replay_dir: str | None = None,
 ) -> Verdict:
     """Execute one suite path on a fresh implementation instance."""
-    steps = [(action, suite.state(dest)) for action, dest in suite.paths[path_id]]
+    graph = suite.graph
+    steps = []
+    for eid in suite.paths[path_id]:
+        _src, action, dst = graph.edges[eid]
+        steps.append((action, graph.states[dst - 1]))
     verdict = _execute(emulator_factory(), steps, path_id)
     if not verdict.passed and replay_dir is not None:
         write_replay_log(Path(replay_dir) / f"path_{path_id}.replay", suite, path_id)
@@ -187,7 +192,7 @@ def run_suite(
     the report is truncated after the first failing path id.
     """
     started = time.perf_counter()
-    count = suite.path_count
+    count = len(suite.paths)
     if jobs <= 1 or count <= 1:
         verdicts = []
         for path_id in range(count):
@@ -230,15 +235,16 @@ def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:
     """Self-contained failing-path log: actions plus expected states."""
     header = {
         "version": REPLAY_LOG_VERSION,
-        "model": suite.model,
-        "bounds": canon.dumps(suite.bounds),
-        "suite_hash": suite.content_hash,
+        "model": suite.header.model,
+        "bounds": canon.dumps(suite.header.bounds),
+        "suite_hash": suite.header.content_hash,
         "path": path_id,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for action, dest in suite.paths[path_id]:
-        state = suite.state(dest)
-        lines.append("\t".join(("R", action.key(), str(dest), state.key())))
+    graph = suite.graph
+    for eid in suite.paths[path_id]:
+        _src, action, dst = graph.edges[eid]
+        lines.append("\t".join(("R", action.key(), str(dst), graph.states[dst - 1].key())))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 

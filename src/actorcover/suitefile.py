@@ -3,20 +3,34 @@
 Layout (UTF-8, LF newlines, TAB-separated fields):
 
     AC1 <kind> model=<name> bounds=<canon> stats=<canon> hash=<sha256>
-    S <index> <canonical system state>          graph and suite files
-    E <src> <dst> <canonical action>            graph files
-    P <count> <action> <dest> <action> <dest>…  suite files
-    P <count> <edge-id> <edge-id>…              bare paths files
+    S <index> <canonical system state>       graph files
+    E <src> <dst> <canonical action>         graph files
+    G <graph file> <graph content hash>      suite files: first line
+    P <count> <edge-id> <edge-id>…           suite files: one per path
 
-``kind`` is one of graph / suite / paths.  State index 1 is always the
-initial state and S lines appear in index order.  The hash covers every
-byte after the header line, so readers can reject tampered or truncated
-files, and replay logs can pin the exact suite they were produced from.
+``kind`` is graph or suite.  State index 1 is always the initial state
+and S lines appear in index order; edge ids number the E lines from 0.
+The hash covers every byte after the header line, so readers can reject
+tampered or truncated files, and replay logs can pin the exact suite they
+were produced from.
+
+A suite holds only what its graph does not.  The G line names the graph
+file relative to the suite's directory and pins the graph's hash, so the
+suite's hash covers the graph too; a missing or changed graph is rejected
+at the G line.  The suite header copies the graph's model, bounds and
+stats, the stats extended with ``paths`` and ``total_length``.  A suite of
+a plain edge list has ``model=none``, pins the sha256 of the edge list's
+bytes, and cannot be run.
+
+Migration: suite files from before edge-id paths copied every state (S
+lines) and step action (P lines); they are rejected at their first S line
+and must be regenerated with ``actorcover gensuite``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,53 +51,40 @@ class MalformedInputError(Exception):
         self.line = line
 
 
-@dataclass
-class GraphFile:
+@dataclass(frozen=True)
+class Header:
+    """The first line of a graph or suite file."""
+
+    kind: str
     model: str
     bounds: canon.Record
     stats: canon.Record
     content_hash: str
+
+
+@dataclass
+class GraphFile:
+    header: Header
     states: list[ModelState]
     edges: list[tuple[int, Action, int]]
 
     def cover_graph(self) -> CoverGraph:
         return CoverGraph(len(self.states), [(src, dst) for src, _a, dst in self.edges])
 
-    def edge_label(self, eid: int) -> tuple[Action, int]:
-        src, action, dst = self.edges[eid]
-        return action, dst
-
 
 @dataclass
 class SuiteFile:
-    model: str
-    bounds: canon.Record
-    stats: canon.Record
-    content_hash: str
-    states: list[ModelState]
-    paths: list[list[tuple[Action, int]]]
+    """A suite's header, the graph file it pins, and its edge-id paths."""
 
-    def state(self, index: int) -> ModelState:
-        return self.states[index - 1]
-
-    @property
-    def path_count(self) -> int:
-        return len(self.paths)
-
-    @property
-    def total_length(self) -> int:
-        return sum(len(p) for p in self.paths)
-
-
-@dataclass
-class PathsFile:
-    stats: canon.Record
-    content_hash: str
+    header: Header
+    graph: GraphFile
     paths: list[list[int]]
 
 
-def _header(kind: str, model: str, bounds, stats, digest: str) -> str:
-    return "\t".join(
+def _finish(path: Path, kind: str, model: str, bounds, stats, body_lines: list[str]) -> str:
+    body = "".join(line + "\n" for line in body_lines)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    header = "\t".join(
         (
             FORMAT_VERSION,
             kind,
@@ -93,12 +94,6 @@ def _header(kind: str, model: str, bounds, stats, digest: str) -> str:
             f"hash={digest}",
         )
     )
-
-
-def _finish(path: Path, kind: str, model: str, bounds, stats, body_lines: list[str]) -> str:
-    body = "".join(line + "\n" for line in body_lines)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    header = _header(kind, model, bounds, stats, digest)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(header + "\n")
         handle.write(body)
@@ -115,69 +110,79 @@ def write_graph_file(path, model_name: str, bounds, graph: TransitionGraph) -> s
     return _finish(Path(path), "graph", model_name, bounds, graph.stats_value(), lines)
 
 
-def write_suite_file(
-    path,
-    model_name: str,
-    bounds,
-    stats,
-    states: list[ModelState],
-    paths: list[list[tuple[Action, int]]],
-) -> str:
-    lines = []
-    for i, state in enumerate(states, start=1):
-        lines.append(f"S\t{i}\t{state.key()}")
-    for steps in paths:
-        fields = [f"P\t{len(steps)}"]
-        for action, dest in steps:
-            fields.append(action.key())
-            fields.append(str(dest))
-        lines.append("\t".join(fields))
-    return _finish(Path(path), "suite", model_name, bounds, stats, lines)
+def write_suite_file(path, graph_path, graph: Header, suite: TestSuite) -> str:
+    """Write ``suite``'s paths pinned to the graph file at ``graph_path``.
 
-
-def write_paths_file(path, stats, suite: TestSuite) -> str:
-    """Bare edge-id paths for graphs ingested without states (edge lists)."""
-    lines = []
+    ``graph`` is that file's header; returns the suite's content hash.
+    """
+    path = Path(path)
+    name = Path(os.path.relpath(graph_path, path.parent)).as_posix()
+    lines = [f"G\t{name}\t{graph.content_hash}"]
     for p in suite.paths:
         lines.append("\t".join(["P", str(len(p))] + [str(eid) for eid in p]))
-    return _finish(Path(path), "paths", "none", canon.Record(), stats, lines)
+    stats = graph.stats.replace(paths=suite.path_count, total_length=suite.total_length)
+    return _finish(path, "suite", graph.model, graph.bounds, stats, lines)
 
 
-def _parse_header(line: str):
-    fields = line.rstrip("\n").split("\t")
+def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header:
+    """Parse a header line, then check the file's kind and its body's hash."""
+    if not line:
+        raise MalformedInputError(1, "empty file")
+    fields = line.decode("utf-8", "replace").rstrip("\n").split("\t")
     if len(fields) != 6 or fields[0] != FORMAT_VERSION:
         raise MalformedInputError(1, f"not a {FORMAT_VERSION} file header")
-    kind = fields[1]
     try:
         parts = dict(f.split("=", 1) for f in fields[2:])
-        model = parts["model"]
-        bounds = canon.loads(parts["bounds"])
-        stats = canon.loads(parts["stats"])
-        digest = parts["hash"]
+        header = Header(
+            kind=fields[1],
+            model=parts["model"],
+            bounds=canon.loads(parts["bounds"]),
+            stats=canon.loads(parts["stats"]),
+            content_hash=parts["hash"],
+        )
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedInputError(1, f"bad header: {exc}") from exc
-    return kind, model, bounds, stats, digest
+    if header.kind not in kinds:
+        raise MalformedInputError(1, f"expected a {' or '.join(kinds)} file, found {header.kind}")
+    if body_hash != header.content_hash:
+        raise MalformedInputError(1, "content hash mismatch (file corrupted or truncated)")
+    return header
 
 
-def _read(path: Path, expect_kind: str):
+def read_header(path, kinds: tuple[str, ...] = ("graph", "suite")) -> Header:
+    """Parse only the header line; the body is streamed through sha256 to check it."""
+    digest = hashlib.sha256()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            line = handle.readline()
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
     except OSError as exc:
         raise MalformedInputError(0, str(exc)) from exc
-    if not text:
-        raise MalformedInputError(1, "empty file")
-    newline = text.index("\n") if "\n" in text else len(text)
-    kind, model, bounds, stats, digest = _parse_header(text[: newline + 1])
-    if kind != expect_kind:
-        raise MalformedInputError(1, f"expected a {expect_kind} file, found {kind}")
-    body = text[newline + 1 :]
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if actual != digest:
-        raise MalformedInputError(1, "content hash mismatch (file corrupted or truncated)")
-    return model, bounds, stats, digest, body
+    return _parse_header(line, kinds, digest.hexdigest())
 
 
-def _parse_states(lines, path_desc: str) -> list[ModelState]:
+def _read(path: Path, kind: str) -> tuple[Header, str]:
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedInputError(0, str(exc)) from exc
+    line, _newline, body = data.partition(b"\n")
+    header = _parse_header(line, (kind,), hashlib.sha256(body).hexdigest())
+    return header, body.decode("utf-8")
+
+
+def _body_lines(body: str):
+    out = []
+    for lineno, line in enumerate(body.splitlines(), start=2):
+        if line.strip():
+            out.append((lineno, line.split("\t")))
+    return out
+
+
+def read_graph_file(path) -> GraphFile:
+    header, body = _read(Path(path), "graph")
+    lines = _body_lines(body)
     states: list[ModelState] = []
     for lineno, fields in lines:
         if fields[0] != "S":
@@ -193,22 +198,7 @@ def _parse_states(lines, path_desc: str) -> list[ModelState]:
             raise MalformedInputError(lineno, f"state index {index} out of order")
         states.append(state)
     if not states:
-        raise MalformedInputError(1, f"{path_desc} has no states (index 1 required)")
-    return states
-
-
-def _body_lines(body: str):
-    out = []
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        if line.strip():
-            out.append((lineno, line.split("\t")))
-    return out
-
-
-def read_graph_file(path) -> GraphFile:
-    model, bounds, stats, digest, body = _read(Path(path), "graph")
-    lines = _body_lines(body)
-    states = _parse_states(lines, "graph file")
+        raise MalformedInputError(1, "graph file has no states (index 1 required)")
     edges: list[tuple[int, Action, int]] = []
     for lineno, fields in lines:
         if fields[0] != "E":
@@ -225,45 +215,51 @@ def read_graph_file(path) -> GraphFile:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
         edges.append((src, action, dst))
-    return GraphFile(model, bounds, stats, digest, states, edges)
+    return GraphFile(header, states, edges)
+
+
+def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> GraphFile:
+    if len(fields) != 3:
+        raise MalformedInputError(lineno, "G line needs a graph file and its content hash")
+    name, pinned = fields[1], fields[2]
+    try:
+        graph = read_graph_file(directory / name)
+    except MalformedInputError as exc:
+        raise MalformedInputError(lineno, f"graph file {name}: {exc}") from exc
+    if graph.header.content_hash != pinned:
+        raise MalformedInputError(
+            lineno,
+            f"graph file {name} has content hash {graph.header.content_hash[:12]}, "
+            f"the suite pins {pinned[:12]}; regenerate the suite with `actorcover gensuite`",
+        )
+    return graph
 
 
 def read_suite_file(path) -> SuiteFile:
-    model, bounds, stats, digest, body = _read(Path(path), "suite")
-    lines = _body_lines(body)
-    states = _parse_states(lines, "suite file")
-    paths: list[list[tuple[Action, int]]] = []
-    for lineno, fields in lines:
-        if fields[0] != "P":
-            if fields[0] not in ("S",):
-                raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
-            continue
-        try:
-            count = int(fields[1])
-        except (IndexError, ValueError) as exc:
-            raise MalformedInputError(lineno, "P line needs an edge count") from exc
-        if len(fields) != 2 + 2 * count:
-            raise MalformedInputError(lineno, f"P line claims {count} edges, fields disagree")
-        steps = []
-        for k in range(count):
-            try:
-                action = Action.from_value(canon.loads(fields[2 + 2 * k]))
-                dest = int(fields[3 + 2 * k])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise MalformedInputError(lineno, f"bad path step {k}: {exc}") from exc
-            if not 1 <= dest <= len(states):
-                raise MalformedInputError(lineno, f"destination index {dest} out of range")
-            steps.append((action, dest))
-        paths.append(steps)
-    return SuiteFile(model, bounds, stats, digest, states, paths)
+    """Load a suite and the graph file its G line pins.
 
-
-def read_paths_file(path) -> PathsFile:
-    _model, _bounds, stats, digest, body = _read(Path(path), "paths")
+    Every path must start at state 1 and chain edge to edge through the graph.
+    """
+    path = Path(path)
+    header, body = _read(path, "suite")
+    if header.model == "none":
+        raise MalformedInputError(1, "a suite of a plain edge list (model=none) cannot be run")
+    graph = None
     paths: list[list[int]] = []
     for lineno, fields in _body_lines(body):
-        if fields[0] != "P":
-            raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
+        if fields[0] == "S":
+            raise MalformedInputError(
+                lineno,
+                "suite file from before edge-id paths (it copies states); "
+                "regenerate it with `actorcover gensuite`",
+            )
+        if fields[0] == "G" and graph is None:
+            graph = _pinned_graph(path.parent, fields, lineno)
+            continue
+        if fields[0] != "P" or graph is None:
+            raise MalformedInputError(
+                lineno, f"unexpected {fields[0]!r} record: a suite is a G line, then P lines"
+            )
         try:
             count = int(fields[1])
             eids = [int(f) for f in fields[2:]]
@@ -271,8 +267,15 @@ def read_paths_file(path) -> PathsFile:
             raise MalformedInputError(lineno, "bad P line") from exc
         if len(eids) != count:
             raise MalformedInputError(lineno, f"P line claims {count} edges, fields disagree")
+        at = 1
+        for eid in eids:
+            if not 0 <= eid < len(graph.edges) or graph.edges[eid][0] != at:
+                raise MalformedInputError(lineno, f"edge {eid} does not leave state {at}")
+            at = graph.edges[eid][2]
         paths.append(eids)
-    return PathsFile(stats, digest, paths)
+    if graph is None:
+        raise MalformedInputError(2, "suite file has no G line")
+    return SuiteFile(header, graph, paths)
 
 
 def parse_edge_list(text: str) -> CoverGraph:

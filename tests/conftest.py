@@ -1,26 +1,20 @@
 import pytest
 
 from actorcover.explore import explore
-from actorcover.suitefile import read_suite_file, write_suite_file
+from actorcover.suitefile import read_header, read_suite_file, write_graph_file, write_suite_file
 from actorcover.systems.kv import KvBounds, KvModel, make_emulator as kv_emulator
 from actorcover.systems.vr import VrBounds, VrModel, make_emulator as vr_emulator
 from actorcover.tsg import CoverGraph, min_suite
 
-VR_BOUNDS = VrBounds(replicas=3, max_queries=1, max_views=1)
+VR_BOUNDS = VrBounds(replicas=2, max_queries=1, max_views=1)
 KV_BOUNDS = KvBounds(actors=3, max_sets=1)
 
 
 def _suite_file(tmp_path, model, graph, suite):
-    cover_edges = [(e.source, e.destination) for e in graph.edges]
-    del cover_edges
-    steps = [
-        [(graph.edges[eid].action, graph.edges[eid].destination) for eid in path]
-        for path in suite.paths
-    ]
+    graph_path = tmp_path / f"{model.name}.graph"
+    write_graph_file(graph_path, model.name, model.bounds_value(), graph)
     out = tmp_path / f"{model.name}.suite"
-    write_suite_file(
-        out, model.name, model.bounds_value(), graph.stats_value(), graph.states, steps
-    )
+    write_suite_file(out, graph_path, read_header(graph_path), suite)
     return read_suite_file(out)
 
 
@@ -37,8 +31,7 @@ def vr_min_suite(vr_graph, tmp_path_factory):
     model, graph = vr_graph
     cover = CoverGraph(graph.state_count, [(e.source, e.destination) for e in graph.edges])
     suite = min_suite(cover)
-    loaded = _suite_file(tmp_path_factory.mktemp("vr"), model, graph, suite)
-    return loaded
+    return _suite_file(tmp_path_factory.mktemp("vr"), model, graph, suite)
 
 
 @pytest.fixture(scope="session")
