@@ -16,18 +16,14 @@ from __future__ import annotations
 
 import io
 from abc import ABC, abstractmethod
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import canon
 
 # Source id for events originating outside the system (clients, timers).
 EXTERNAL = -1
-
-# Event store disciplines.
-SET = "set"
-FIFO_PAIRWISE = "fifo"
 
 # Action kinds.
 INJECT = "inject"
@@ -97,28 +93,18 @@ class Event:
 
 @dataclass(frozen=True)
 class OperationRequest:
-    """Effect requested by an actor; converts to exactly one future event.
+    """Message an actor asks to send; converts to exactly one future event."""
 
-    ``send`` requests become messages to other actors; ``persist`` requests
-    model an asynchronous flush whose completion comes back to the issuer.
-    """
-
-    kind: str
     event_kind: str
     payload: object
-    destination: int | None = None
+    destination: int
 
     def to_event(self, source: int) -> Event:
-        dest = self.destination if self.destination is not None else source
-        return Event(self.event_kind, self.payload, source, dest)
+        return Event(self.event_kind, self.payload, source, self.destination)
 
 
 def send(destination: int, event_kind: str, payload) -> OperationRequest:
-    return OperationRequest("send", event_kind, payload, destination)
-
-
-def persist(payload) -> OperationRequest:
-    return OperationRequest("persist", "_persisted", payload, None)
+    return OperationRequest(event_kind, payload, destination)
 
 
 @dataclass(frozen=True)
@@ -256,65 +242,32 @@ class Actor(ABC):
 
 
 class EventStore:
-    """Multiset of unprocessed events under a withdrawal discipline.
-
-    SET          any contained event may be withdrawn.
-    FIFO_PAIRWISE  one queue per ordered (source, destination) pair, plus
-                 the external queue per destination; only heads withdraw.
+    """Multiset of unprocessed events; any contained event may be withdrawn.
 
     The store counts multiplicity so conservation stays checkable; the
     snapshot image collapses duplicates to match set-semantics models.
     """
 
-    def __init__(self, discipline: str = SET):
-        if discipline not in (SET, FIFO_PAIRWISE):
-            raise ValueError(f"unknown discipline {discipline!r}")
-        self.discipline = discipline
+    def __init__(self):
         self._counts: Counter[Event] = Counter()
-        self._queues: dict[tuple[int, int], deque[Event]] = {}
 
     def insert(self, event: Event) -> None:
         self._counts[event] += 1
-        if self.discipline == FIFO_PAIRWISE:
-            key = (event.source, event.destination)
-            self._queues.setdefault(key, deque()).append(event)
 
     def contains(self, event: Event) -> bool:
         return self._counts[event] > 0
 
-    def withdrawable(self, event: Event) -> bool:
-        if not self.contains(event):
-            return False
-        if self.discipline == SET:
-            return True
-        queue = self._queues.get((event.source, event.destination))
-        return bool(queue) and queue[0] == event
-
     def withdraw(self, event: Event) -> None:
-        if not self.withdrawable(event):
-            raise IllegalActionError(f"event not withdrawable: {event.key()}")
-        self._remove(event)
-
-    def remove_anywhere(self, event: Event) -> None:
-        """Remove one copy regardless of queue position (crash losses)."""
+        """Remove one copy; IllegalActionError when none is present."""
         if not self.contains(event):
-            raise IllegalActionError(f"event not present: {event.key()}")
-        self._remove(event)
-
-    def _remove(self, event: Event) -> None:
+            raise IllegalActionError(f"event not withdrawable: {event.key()}")
         self._counts[event] -= 1
         if self._counts[event] == 0:
             del self._counts[event]
-        if self.discipline == FIFO_PAIRWISE:
-            queue = self._queues[(event.source, event.destination)]
-            queue.remove(event)
 
     def size(self) -> int:
         """Total multiset cardinality."""
         return sum(self._counts.values())
-
-    def distinct(self) -> Iterator[Event]:
-        return iter(self._counts.keys())
 
     def image(self) -> frozenset[Event]:
         """Set projection of the multiset."""
@@ -327,7 +280,6 @@ class EmulatorConfig:
 
     actor_count: int
     actor_factory: Callable[[int, int], Actor]
-    discipline: str = SET
     enabled_faults: frozenset[str] = field(default_factory=lambda: frozenset(FAULT_KINDS))
 
     def __post_init__(self):
@@ -349,7 +301,7 @@ class Emulator:
         n = self.config.actor_count
         self.actors = [self.config.actor_factory(i, n) for i in range(n)]
         self.alive = [True] * n
-        self.store = EventStore(self.config.discipline)
+        self.store = EventStore()
         self._images = [a.to_model() for a in self.actors]
 
     def snapshot(self) -> SystemState:
@@ -428,7 +380,7 @@ class Emulator:
         actor.reset_volatile()
         self._images[target] = actor.to_model()
         for event in action.drops:
-            self.store.remove_anywhere(event)
+            self.store.withdraw(event)
 
     def _step_restart(self, action: Action) -> None:
         self._check_fault(RESTART)

@@ -148,11 +148,6 @@ def _decode(value):
     return value
 
 
-def sort_key(value) -> str:
-    """Total order over model values: their canonical serialization."""
-    return dumps(value)
-
-
 def diff(a, b, path: str = "") -> list[tuple[str, object, object]]:
     """Field-level differences between two values as (path, a, b) triples."""
     a = freeze(a)

@@ -36,6 +36,10 @@ ALGORITHMS = {
 }
 
 
+SINGLE_THREADED = ("only 1 is accepted: parallel runs were removed because "
+                   "they were slower than one worker")
+
+
 def _bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicas", type=int, default=3, help="actor/replica count")
     parser.add_argument("--max-queries", type=int, default=1,
@@ -68,7 +72,7 @@ def cmd_explore(args) -> int:
     model = spec.make_model(bounds)
     started = time.perf_counter()
     try:
-        result = explore(model, max_states=args.max_states, workers=args.workers)
+        result = explore(model, max_states=args.max_states)
     except StateCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(canon.dumps({"states": exc.states, "edges": exc.edges, "cap": exc.cap}))
@@ -175,13 +179,7 @@ def cmd_run(args) -> int:
             return USAGE_ERROR
     else:
         factory = lambda: spec.make_emulator(bounds)  # noqa: E731
-    report = run_suite(
-        factory,
-        suite,
-        jobs=args.jobs,
-        fail_fast=args.fail_fast,
-        replay_dir=args.replay_log,
-    )
+    report = run_suite(factory, suite, fail_fast=args.fail_fast, replay_dir=args.replay_log)
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8", newline="\n")
     print(json.dumps(report.totals, sort_keys=True))
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="graph file to write")
     p.add_argument("--dot", help="also export the graph in dot format")
     p.add_argument("--max-states", type=int, default=10_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, choices=[1], help=SINGLE_THREADED)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("gensuite", help="generate an edge-covering test suite")
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="replay a suite against the implementation")
     p.add_argument("--model", required=True, choices=sorted(REGISTRY))
     p.add_argument("--suite", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, choices=[1], help=SINGLE_THREADED)
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--replay-log", help="directory for failure replay logs")
     p.add_argument("--out", help="report file to write")

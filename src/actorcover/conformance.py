@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -181,38 +180,20 @@ def run_path(
 def run_suite(
     emulator_factory: Callable[[], Emulator],
     suite: SuiteFile,
-    jobs: int = 1,
     fail_fast: bool = False,
     replay_dir: str | None = None,
 ) -> RunReport:
-    """Run every path, each on an isolated fresh instance.
+    """Run every path in path-id order, each on an isolated fresh instance.
 
-    Results are identical for any ``jobs`` value; workers take contiguous
-    path-id blocks and share only the immutable suite.  With ``fail_fast``
-    the report is truncated after the first failing path id.
+    With ``fail_fast`` the run stops after the first failing path, so the
+    report ends with that path's verdict.
     """
     started = time.perf_counter()
-    count = len(suite.paths)
-    if jobs <= 1 or count <= 1:
-        verdicts = []
-        for path_id in range(count):
-            verdicts.append(run_path(emulator_factory, suite, path_id, replay_dir))
-            if fail_fast and not verdicts[-1].passed:
-                break
-    else:
-        blocks = _blocks(count, jobs)
-
-        def run_block(block: range) -> list[Verdict]:
-            return [run_path(emulator_factory, suite, p, replay_dir) for p in block]
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_block, blocks))
-        verdicts = [v for block in results for v in block]
-        verdicts.sort(key=lambda v: v.path_id)
-        if fail_fast:
-            cut = next((i for i, v in enumerate(verdicts) if not v.passed), None)
-            if cut is not None:
-                verdicts = verdicts[: cut + 1]
+    verdicts = []
+    for path_id in range(len(suite.paths)):
+        verdicts.append(run_path(emulator_factory, suite, path_id, replay_dir))
+        if fail_fast and not verdicts[-1].passed:
+            break
     elapsed = time.perf_counter() - started
     totals = {status: 0 for status in STATUSES}
     for v in verdicts:
@@ -224,11 +205,6 @@ def run_suite(
     ]
     rate = len(verdicts) / elapsed if elapsed > 0 else 0.0
     return RunReport(totals, verdicts, elapsed, rate, logs)
-
-
-def _blocks(count: int, jobs: int) -> list[range]:
-    size = (count + jobs - 1) // jobs
-    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:

@@ -1,75 +1,27 @@
-"""Graphviz dot export of transition graphs, with a matching importer.
+"""Graphviz dot export of transition graphs.
 
 Unlike generic state-graph dumps, edge labels here carry the full
 canonical action, so a rendered graph shows exactly which operation moved
-the system between two states.  ``import_dot`` parses the exporter's own
-output (not arbitrary dot) and reconstructs the labeled graph.
+the system between two states.  The output is for viewing only; the graph
+file written by ``explore --out`` is the machine-readable form.
 """
 
 from __future__ import annotations
 
-import re
-
-from . import canon
-from .actors import Action
-from .explore import Edge, TransitionGraph
-from .model import ModelState
+from .explore import TransitionGraph
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _unescape(text: str) -> str:
-    return text.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def export_dot(graph: TransitionGraph, include_states: bool = False) -> str:
-    """Render the graph as a dot digraph.
-
-    With ``include_states`` each node's tooltip carries the canonical
-    state, which makes the export lossless for ``import_dot``.
-    """
+def export_dot(graph: TransitionGraph) -> str:
+    """Render the graph as a dot digraph: one node line per state, one edge line per edge."""
     out = ["digraph transitions {"]
     for i in range(1, graph.state_count + 1):
-        if include_states:
-            tooltip = _escape(graph.state(i).key())
-            out.append(f'  {i} [label="{i}" tooltip="{tooltip}"];')
-        else:
-            out.append(f'  {i} [label="{i}"];')
+        out.append(f'  {i} [label="{i}"];')
     for edge in graph.edges:
         label = _escape(edge.action.key())
         out.append(f'  {edge.source} -> {edge.destination} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-_NODE_RE = re.compile(r'^\s*(\d+) \[label="\d+"(?: tooltip="(.*)")?\];$')
-_EDGE_RE = re.compile(r'^\s*(\d+) -> (\d+) \[label="(.*)"\];$')
-
-
-def import_dot(text: str) -> TransitionGraph:
-    """Parse text produced by ``export_dot`` back into a graph.
-
-    Node states are reconstructed from tooltips when present; otherwise
-    the states list carries ``None`` placeholders and only the labeled
-    edge structure is meaningful.
-    """
-    states: dict[int, ModelState | None] = {}
-    edges: list[Edge] = []
-    for line in text.splitlines():
-        node = _NODE_RE.match(line)
-        if node:
-            index = int(node.group(1))
-            tooltip = node.group(2)
-            if tooltip is not None:
-                states[index] = ModelState.from_value(canon.loads(_unescape(tooltip)))
-            else:
-                states[index] = None
-            continue
-        arrow = _EDGE_RE.match(line)
-        if arrow:
-            action = Action.from_value(canon.loads(_unescape(arrow.group(3))))
-            edges.append(Edge(int(arrow.group(1)), action, int(arrow.group(2))))
-    ordered = [states[i] for i in sorted(states)]
-    return TransitionGraph(ordered, edges)

@@ -4,13 +4,11 @@ States are deduplicated by canonical key and indexed 1-based in discovery
 order; index 1 is always the initial state.  Exploration is level
 synchronous: each BFS level's new states are sorted by canonical key
 before indexing, which makes the resulting indices (and therefore every
-file derived from the graph) identical across runs, processes and worker
-counts.
+file derived from the graph) identical across runs and processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import canon
@@ -55,9 +53,6 @@ class TransitionGraph:
     def state(self, index: int) -> ModelState:
         """1-based lookup; index 1 is the initial state."""
         return self.states[index - 1]
-
-    def out_edges(self, index: int) -> list[Edge]:
-        return [e for e in self.edges if e.source == index]
 
     def sink_indices(self) -> list[int]:
         sources = {e.source for e in self.edges}
@@ -110,15 +105,12 @@ def explore(
     model: Model,
     max_states: int = DEFAULT_STATE_CAP,
     stop_on_violation: bool = True,
-    workers: int = 1,
 ) -> ExploreResult:
     """BFS the model from its initial state under the hard state cap.
 
     Invariants are checked at every discovered state.  With
     ``stop_on_violation`` the current level is finished and exploration
-    stops, so the reported counterexample path is shortest.  ``workers``
-    parallelizes successor computation per level; output is identical for
-    every worker count.
+    stops, so the reported counterexample path is shortest.
     """
     invariants = model.invariants()
     init = model.initial_state()
@@ -137,7 +129,11 @@ def explore(
     check(init, 1)
     frontier = [1]
     while frontier and not (violations and stop_on_violation):
-        expansions = _expand(model, states, frontier, workers)
+        expansions = [
+            (src, action, model.apply(states[src - 1], action))
+            for src in frontier
+            for action in model.enabled_actions(states[src - 1])
+        ]
         # Dedup new successors; assign this level's indices in key order.
         fresh: dict[ModelState, tuple[int, Action]] = {}
         for src, action, succ in expansions:
@@ -162,23 +158,6 @@ def explore(
     if violations:
         counterexample = _path_to(parents, graph, violations[0].state_index)
     return ExploreResult(graph, violations, counterexample)
-
-
-def _expand(model, states, frontier, workers):
-    def one(src: int):
-        state = states[src - 1]
-        out = []
-        for action in model.enabled_actions(state):
-            succ = model.apply(state, action)
-            out.append((src, action, succ))
-        return out
-
-    if workers > 1 and len(frontier) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, frontier))
-    else:
-        chunks = [one(src) for src in frontier]
-    return [item for chunk in chunks for item in chunk]
 
 
 def _path_to(parents, graph, index: int) -> list[tuple[Action, int]]:

@@ -1,11 +1,14 @@
 """Integer flow solvers used by the suite generators.
 
 ``FlowNetwork`` is a residual-edge-pair network over 0-based vertices,
-solved either by Dinic's blocking-flow algorithm (``max_flow``) or by
-successive shortest augmenting paths with vertex potentials
-(``min_cost_max_flow``; costs must be non-negative, which holds for the
-0/1 costs used here).  ``solve_circulation`` handles per-edge lower bounds
-through the standard super-source / super-sink transformation.
+solved either by Dinic's algorithm (``max_flow``) or by successive
+shortest augmenting paths with vertex potentials (``min_cost_max_flow``;
+costs must be non-negative, which holds for the 0/1 costs used here).
+Both push flow through one Dinic blocking-flow routine
+(``_blocking_flow``); they differ only in which residual arcs it may use:
+any arc with capacity left, or only arcs of zero reduced cost.
+``solve_circulation`` handles per-edge lower bounds through the standard
+super-source / super-sink transformation.
 
 All arithmetic is exact; all tie-breaking follows ascending edge insertion
 order, so results are deterministic functions of the build sequence.
@@ -51,64 +54,16 @@ class FlowNetwork:
         return self.cap[arc ^ 1]
 
     def max_flow(self, s: int, t: int) -> int:
-        """Dinic: repeated BFS level graphs + iterative blocking flows."""
+        """Dinic: one blocking flow per BFS level graph of the residual arcs."""
         if s == t:
             raise ValueError("source equals sink")
+        cap = self.cap
         total = 0
         while True:
-            level = self._levels(s, t)
-            if level[t] < 0:
+            pushed = self._blocking_flow(s, t, lambda u, arc: cap[arc] > 0)
+            if pushed == 0:
                 return total
-            it = [0] * self.n
-            while True:
-                pushed = self._blocking_path(s, t, level, it)
-                if pushed == 0:
-                    break
-                total += pushed
-
-    def _blocking_path(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one augmenting path in the level graph; 0 when blocked."""
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                bottleneck = min(self.cap[a] for a in path)
-                for a in path:
-                    self.cap[a] -= bottleneck
-                    self.cap[a ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            while it[u] < len(self.adj[u]):
-                arc = self.adj[u][it[u]]
-                v = self.head[arc]
-                if self.cap[arc] > 0 and level[v] == level[u] + 1:
-                    path.append(arc)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                level[u] = -1
-                if not path:
-                    return 0
-                arc = path.pop()
-                u = self.head[arc ^ 1]
-                it[u] += 1
-
-    def _levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for arc in self.adj[u]:
-                    v = self.head[arc]
-                    if self.cap[arc] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return level
+            total += pushed
 
     def min_cost_max_flow(self, s: int, t: int) -> tuple[int, int]:
         """Successive shortest paths with potentials; returns (flow, cost).
@@ -118,23 +73,31 @@ class FlowNetwork:
         then saturates every shortest augmenting path at once with a
         blocking flow over the zero-reduced-cost arcs; the phase count is
         bounded by the largest s-t path cost, which for the 0/1 costs used
-        by the suite generators is the graph diameter plus two.
+        by the suite generators is the graph diameter plus two.  The
+        returned cost is that of the network's final flow, summed over
+        the forward arcs.
         """
         if any(c < 0 for c in self.cost[::2]):
             raise ValueError("negative arc costs are not supported")
+        cap = self.cap
+        cost = self.cost
+        head = self.head
         potential = [0] * self.n
+
+        def admissible(u: int, arc: int) -> bool:
+            return cap[arc] > 0 and cost[arc] + potential[u] - potential[head[arc]] == 0
+
         total_flow = 0
-        total_cost = 0
         while True:
             dist = self._reduced_dijkstra(s, potential)
             if dist[t] is None:
-                return total_flow, total_cost
+                break
             for v in range(self.n):
                 if dist[v] is not None:
                     potential[v] += dist[v]
-            pushed, cost = self._admissible_blocking_flow(s, t, potential)
-            total_flow += pushed
-            total_cost += cost
+            total_flow += self._blocking_flow(s, t, admissible)
+        total_cost = sum(cost[a] * self.flow_of(a) for a in range(0, len(head), 2))
+        return total_flow, total_cost
 
     def _reduced_dijkstra(self, s: int, potential: list[int]) -> list[int | None]:
         """Distances under reduced costs; bucket queue (costs are small ints)."""
@@ -164,23 +127,21 @@ class FlowNetwork:
                 v = head[arc]
                 nd = d + cost[arc] + pot_u - potential[v]
                 if dist[v] is None or nd < dist[v]:
-                    if dist[v] is not None and dist[v] >= d:
-                        pass  # stale entry remains in its bucket; skipped on pop
                     dist[v] = nd
                     buckets.setdefault(nd, []).append(v)
                     pending += 1
         return dist
 
-    def _admissible_blocking_flow(self, s: int, t: int, potential: list[int]) -> tuple[int, int]:
-        """Blocking flow restricted to arcs with zero reduced cost."""
+    def _blocking_flow(self, s: int, t: int, admissible) -> int:
+        """One Dinic phase over the arcs that ``admissible(u, arc)`` accepts.
+
+        Builds BFS levels from ``s``, then pushes augmenting paths along
+        arcs that climb one level, visiting each vertex's arcs in insertion
+        order, until ``t`` is cut off.  Returns the units pushed.
+        """
         cap = self.cap
-        cost = self.cost
         head = self.head
         adj = self.adj
-
-        def admissible(u: int, arc: int) -> bool:
-            return cap[arc] > 0 and cost[arc] + potential[u] - potential[head[arc]] == 0
-
         level = [-1] * self.n
         level[s] = 0
         frontier = [s]
@@ -194,41 +155,38 @@ class FlowNetwork:
                         nxt.append(v)
             frontier = nxt
         if level[t] < 0:
-            return 0, 0
+            return 0
         it = [0] * self.n
         total = 0
-        cost_sum = 0
+        path: list[int] = []
+        u = s
         while True:
-            path: list[int] = []
-            u = s
-            pushed = 0
-            while True:
-                if u == t:
-                    bottleneck = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= bottleneck
-                        cap[a ^ 1] += bottleneck
-                        cost_sum += bottleneck * cost[a]
-                    pushed = bottleneck
+            if u == t:
+                bottleneck = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= bottleneck
+                    cap[a ^ 1] += bottleneck
+                total += bottleneck
+                path = []
+                u = s
+                continue
+            advanced = False
+            while it[u] < len(adj[u]):
+                arc = adj[u][it[u]]
+                v = head[arc]
+                if level[v] == level[u] + 1 and admissible(u, arc):
+                    path.append(arc)
+                    u = v
+                    advanced = True
                     break
-                advanced = False
-                while it[u] < len(adj[u]):
-                    arc = adj[u][it[u]]
-                    v = head[arc]
-                    if level[v] == level[u] + 1 and admissible(u, arc):
-                        path.append(arc)
-                        u = v
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    level[u] = -1
-                    if not path:
-                        return total, cost_sum
-                    arc = path.pop()
-                    u = head[arc ^ 1]
-                    it[u] += 1
-            total += pushed
+                it[u] += 1
+            if not advanced:
+                level[u] = -1
+                if not path:
+                    return total
+                arc = path.pop()
+                u = head[arc ^ 1]
+                it[u] += 1
 
 
 @dataclass(frozen=True)

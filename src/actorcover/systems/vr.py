@@ -854,6 +854,3 @@ def make_model(bounds: VrBounds) -> VrModel:
 def make_emulator(bounds: VrBounds, actor_cls: type[VrActor] = VrActor) -> Emulator:
     return Emulator(EmulatorConfig(actor_count=bounds.replicas, actor_factory=actor_cls))
 
-
-def make_mutant_emulator(bounds: VrBounds, mutant: str) -> Emulator:
-    return make_emulator(bounds, MUTANTS[mutant])

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from actorcover import canon
 from actorcover.actors import (
     EXTERNAL,
-    FIFO_PAIRWISE,
     Action,
     ActorFailure,
     Emulator,
     EmulatorConfig,
     Event,
-    EventStore,
     IllegalActionError,
     read_action_log,
     write_action_log,
@@ -148,30 +146,6 @@ def test_actor_exception_becomes_actor_failure():
     emu.store.insert(event)
     with pytest.raises(ActorFailure):
         emu.step(Action.deliver(event))
-
-
-def test_fifo_discipline_only_heads_withdrawable():
-    store = EventStore(FIFO_PAIRWISE)
-    first = Event("m", {"n": 1}, 0, 1)
-    second = Event("m", {"n": 2}, 0, 1)
-    other = Event("m", {"n": 3}, 2, 1)
-    for event in (first, second, other):
-        store.insert(event)
-    assert store.withdrawable(first)
-    assert not store.withdrawable(second)
-    assert store.withdrawable(other)  # separate pair queue
-    with pytest.raises(IllegalActionError):
-        store.withdraw(second)
-    store.withdraw(first)
-    assert store.withdrawable(second)
-
-
-def test_persist_request_comes_back_to_issuer():
-    from actorcover.actors import persist
-
-    event = persist({"page": 7}).to_event(2)
-    assert event.destination == 2 and event.source == 2
-    assert event.kind == "_persisted"
 
 
 def test_action_log_round_trip(tmp_path):

@@ -1,14 +1,23 @@
-"""End-to-end CLI runs on vr with 2 replicas, 1 query and 1 view (310 states)."""
+"""End-to-end CLI runs on vr with 2 replicas, 1 query and 1 view (310 states).
+
+The dot export and the single-worker flags are checked on a tiny kv graph.
+"""
 
 import hashlib
+import json
 import re
 import shutil
 
 import pytest
 
+from actorcover import canon, dot
+from actorcover.actors import EXTERNAL, Action, Event
 from actorcover.cli import main
+from actorcover.explore import Edge, TransitionGraph
+from actorcover.model import ModelState
 
 BOUNDS = ("--replicas", "2", "--max-queries", "1", "--max-views", "1")
+KV_TINY = ("--model", "kv", "--replicas", "2", "--max-queries", "1", "--max-gets", "1")
 
 
 def cli(capsys, *argv):
@@ -37,6 +46,83 @@ def test_run_exit_codes(work, capsys):
     suite = work / "suite.ac1"
     assert cli(capsys, "run", "--model", "vr", "--suite", suite)[0] == 0
     assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit")[0] == 1
+
+
+def test_run_fail_fast_stops_after_the_first_failing_path(work, capsys):
+    # The min suite's path 0 already fails; baseline paths follow edge ids,
+    # so several pass before skip-commit's first kill.
+    suite = work / "baseline.ac1"
+    assert cli(capsys, "gensuite", "--graph", work / "graph.ac1", "--algorithm", "baseline",
+               "--out", suite)[0] == 0
+    full, fast = work / "full.json", work / "fast.json"
+    assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit",
+               "--out", full)[0] == 1
+    rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant",
+                        "skip-commit", "--fail-fast", "--out", fast)
+    assert rc == 1
+    full_verdicts = json.loads(full.read_text(encoding="utf-8"))["verdicts"]
+    first_failure = next(v["path"] for v in full_verdicts if v["status"] != "PASS")
+    assert first_failure == 52
+    report = json.loads(fast.read_text(encoding="utf-8"))
+    assert [v["path"] for v in report["verdicts"]] == list(range(first_failure + 1))
+    assert report["verdicts"] == full_verdicts[: first_failure + 1]
+    assert report["totals"]["PASS"] == first_failure
+    assert sum(report["totals"].values()) == first_failure + 1
+    assert f"{first_failure + 1} paths in " in out
+
+
+def test_parallel_flags_accept_only_one(work, capsys):
+    assert cli(capsys, "explore", *KV_TINY, "--workers", "1")[0] == 0
+    assert cli(capsys, "run", "--model", "vr", "--suite", work / "suite.ac1", "--jobs", "1")[0] == 0
+    for argv in (["explore", *KV_TINY, "--workers", "2"],
+                 ["run", "--model", "vr", "--suite", work / "suite.ac1", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as info:
+            cli(capsys, *argv)
+        assert info.value.code == 2
+        assert "invalid choice: 2" in capsys.readouterr().err
+
+
+DOT_LABEL = re.compile(r'^  (\d+) -> (\d+) \[label="((?:[^"\\]|\\.)*)"\];$')
+
+
+def _unescape(label):
+    return re.sub(r"\\(.)", r"\1", label)
+
+
+def test_explore_dot_has_a_line_per_state_and_edge(tmp_path, capsys):
+    outputs = []
+    for name in ("a.dot", "b.dot"):
+        rc, out, _err = cli(capsys, "explore", *KV_TINY, "--out", tmp_path / "g.ac1",
+                            "--dot", tmp_path / name)
+        assert rc == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    stats = json.loads(out)
+    lines = outputs[0].decode("utf-8").splitlines()
+    assert lines[0] == "digraph transitions {" and lines[-1] == "}"
+    nodes = [line for line in lines if re.fullmatch(r'  \d+ \[label="\d+"\];', line)]
+    assert nodes == [f'  {i} [label="{i}"];' for i in range(1, stats["states"] + 1)]
+    edges = [DOT_LABEL.match(line) for line in lines if " -> " in line]
+    assert len(edges) == stats["edges"] == len(lines) - 2 - len(nodes)
+    graph_edges = [line.split("\t") for line in
+                   (tmp_path / "g.ac1").read_text(encoding="utf-8").splitlines()
+                   if line.startswith("E\t")]
+    assert len(graph_edges) == len(edges)
+    for match, (_e, src, dst, action) in zip(edges, graph_edges):
+        assert match is not None
+        assert (match.group(1), match.group(2)) == (src, dst)
+        assert _unescape(match.group(3)) == action
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    event = Event("Note", {"text": 'say "hi" \\ bye'}, EXTERNAL, 0)
+    state = ModelState(actors=(None,), alive=(True,), globals_=canon.Record(), events=frozenset())
+    action = Action.inject(event)
+    assert r'"say \"hi\" \\ bye"' in action.key()
+    text = dot.export_dot(TransitionGraph([state, state], [Edge(1, action, 2)]))
+    edge_line = text.splitlines()[3]
+    assert r'\"say \\\"hi\\\" \\\\ bye\"' in edge_line
+    assert _unescape(DOT_LABEL.match(edge_line).group(3)) == action.key()
 
 
 def edit_body(work):

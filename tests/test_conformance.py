@@ -62,12 +62,3 @@ def test_vr_kill_matrix_and_replay_logs(vr_min_suite, mutant, tmp_path):
     assert len(report.replay_logs) == len(failed)
     for verdict, log in zip(failed, report.replay_logs):
         assert replay(log, factory, vr_min_suite.header.content_hash) == verdict
-
-
-@pytest.mark.parametrize("mutant", [None, "keep-phase2", "no-commit-broadcast"])
-def test_jobs_do_not_change_verdicts(vr_min_suite, vr_factory, mutant):
-    factory = vr_factory if mutant is None else mutant_factory(mutant)
-    one = run_suite(factory, vr_min_suite, jobs=1)
-    two = run_suite(factory, vr_min_suite, jobs=2)
-    assert two.verdicts == one.verdicts
-    assert two.totals == one.totals

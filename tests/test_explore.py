@@ -129,18 +129,6 @@ def test_exploring_twice_yields_identical_graphs():
     ]
 
 
-def test_worker_count_does_not_change_output():
-    model = KvModel(KvBounds(actors=3, max_sets=2))
-    sequential = explore(model, workers=1).graph
-    parallel = explore(model, workers=4).graph
-    assert [canonical_key(s) for s in sequential.states] == [
-        canonical_key(s) for s in parallel.states
-    ]
-    assert [(e.source, e.action.key(), e.destination) for e in sequential.edges] == [
-        (e.source, e.action.key(), e.destination) for e in parallel.edges
-    ]
-
-
 def test_state_cap_exceeded():
     with pytest.raises(StateCapExceededError) as info:
         explore(CounterModel(100), max_states=10)

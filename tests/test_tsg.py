@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -194,3 +195,46 @@ def test_self_loops_and_edges_into_source_are_covered():
     graph = CoverGraph(3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (3, 1)])
     for generator in (baseline_suite, flow_suite, min_suite):
         assert verify_coverage(graph, generator(graph)).ok
+
+
+# sha256 of each generator's edge-id paths, one "id id ...\n" line per path,
+# as produced before the two Dinic blocking-flow copies in ``flow`` were
+# merged.  The vr graph is the conftest one (310 states); the random graphs
+# are where the flow suite and the min suite differ (66 of 200 here).
+SUITE_DIGESTS = {
+    ("vr", "baseline"): "d736b30fdd61bb400957661b77689c648e820e59ac91e50c1fcb539409307222",
+    ("vr", "flow"): "1ec09d789fdee90cc102c2d0d7077604d3f54c1f5b9fd686333e354e78f28bc0",
+    ("vr", "min"): "1ec09d789fdee90cc102c2d0d7077604d3f54c1f5b9fd686333e354e78f28bc0",
+    ("kv", "baseline"): "8138747b7559de2506f53d7bcb721feb6b1b0cd12b59401416650835785d755a",
+    ("kv", "flow"): "1237d6a747595a0a7bbb2e6e1d6bc7a444dea50bd381116a2757c232ac19304a",
+    ("kv", "min"): "1237d6a747595a0a7bbb2e6e1d6bc7a444dea50bd381116a2757c232ac19304a",
+    ("random", "baseline"): "23372cc5e9da02cdd6e732876e5d10eabcdf982cebd0dbd5aaa0979af30b267a",
+    ("random", "flow"): "9b117d463c969f8e08ab96634bd1283993de41444f337e3e8953f659ebd31881",
+    ("random", "min"): "cb27e4d896b01f5e23d8ef1853167ff713b97f6fda6c59218cb2d6f216379e2a",
+}
+GENERATORS = {"baseline": baseline_suite, "flow": flow_suite, "min": min_suite}
+
+
+def _cover(explored):
+    _model, graph = explored
+    return CoverGraph(graph.state_count, [(e.source, e.destination) for e in graph.edges])
+
+
+def _update(digest, suite: TestSuite) -> None:
+    for path in suite.paths:
+        digest.update((" ".join(map(str, path)) + "\n").encode("ascii"))
+
+
+@pytest.mark.parametrize("graph_name", ["vr", "kv", "random"])
+@pytest.mark.parametrize("algorithm", sorted(GENERATORS))
+def test_suites_are_pinned_path_for_path(request, graph_name, algorithm):
+    generate = GENERATORS[algorithm]
+    digest = hashlib.sha256()
+    if graph_name == "random":
+        rng = random.Random(2512)
+        for _ in range(200):
+            _update(digest, generate(random_cover_graph(rng, 12, 30)))
+            digest.update(b"\n")
+    else:
+        _update(digest, generate(_cover(request.getfixturevalue(f"{graph_name}_graph"))))
+    assert digest.hexdigest() == SUITE_DIGESTS[graph_name, algorithm]
