@@ -10,6 +10,17 @@ Record, list -> tuple, set -> frozenset).  ``dumps`` renders any value as a
 one-line canonical string with sorted record keys and sorted set members,
 so equal values serialize to equal bytes in every process.  ``loads``
 parses that string back into frozen form.
+
+A Record is a key table plus a tuple of values.  Key tables are shared:
+there is one per distinct sorted key tuple, interned for the life of the
+process, so records of the same shape hold the same table and lookups are
+one dict probe.  A Record's hash is computed when it is built and its
+canonical text the first time it is dumped; both are kept, so a record
+shared by many states is serialized once.  ``loads(text, memo)`` returns
+one shared object for records of equal text parsed through the same
+``memo`` (hash-consing), which keeps a file of repetitive states compact in
+memory.  Equal text, not just equality: ``1 == True``, but a record
+holding one is not shared with a record holding the other.
 """
 
 from __future__ import annotations
@@ -20,50 +31,88 @@ from collections.abc import Mapping
 # Reserved record key used to encode sets in the textual form.
 SET_TAG = "$set"
 
+# Sorted key tuple -> {key: position}; one table per record shape.
+_SHAPES: dict[tuple[str, ...], dict[str, int]] = {}
 
-class Record(Mapping):
-    """Immutable, hashable string-keyed mapping of model values."""
+_quote = json.encoder.encode_basestring_ascii
 
-    __slots__ = ("_items", "_hash")
 
-    def __init__(self, data=(), **kwargs):
-        pairs = dict(data, **kwargs)
-        items = []
-        for key in sorted(pairs):
+def _shape(keys: tuple) -> dict[str, int]:
+    """The shared key table for a sorted tuple of keys."""
+    shape = _SHAPES.get(keys)
+    if shape is None:
+        for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"record keys must be strings, got {key!r}")
             if key == SET_TAG:
                 raise ValueError(f"record key {SET_TAG!r} is reserved")
-            items.append((key, freeze(pairs[key])))
-        object.__setattr__(self, "_items", tuple(items))
-        object.__setattr__(self, "_hash", hash(self._items))
+        shape = _SHAPES.setdefault(keys, {key: i for i, key in enumerate(keys)})
+    return shape
+
+
+class Record(Mapping):
+    """Immutable, hashable string-keyed mapping of model values."""
+
+    __slots__ = ("_shape", "_values", "_hash", "_text")
+
+    def __init__(self, data=(), **kwargs):
+        pairs = dict(data, **kwargs)
+        keys = tuple(sorted(pairs))
+        self._init(_shape(keys), tuple(map(freeze, map(pairs.__getitem__, keys))))
+
+    def _init(self, shape: dict[str, int], values: tuple) -> None:
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash((id(shape), values)))
+        object.__setattr__(self, "_text", None)
+
+    @classmethod
+    def _make(cls, shape: dict[str, int], values: tuple) -> "Record":
+        """Record over an interned table and frozen values; no checks."""
+        record = object.__new__(cls)
+        record._init(shape, values)
+        return record
 
     def __getitem__(self, key):
-        for k, v in self._items:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self._values[self._shape[key]]
+
+    def get(self, key, default=None):
+        index = self._shape.get(key)
+        return default if index is None else self._values[index]
+
+    def __contains__(self, key):
+        return key in self._shape
 
     def __iter__(self):
-        return (k for k, _ in self._items)
+        return iter(self._shape)
 
     def __len__(self):
-        return len(self._items)
+        return len(self._values)
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, Record):
-            return self._items == other._items
+            return (
+                self._hash == other._hash
+                and self._shape is other._shape
+                and self._values == other._values
+            )
         return NotImplemented
 
     def __repr__(self):
-        return f"Record({dict(self._items)!r})"
+        return f"Record({dict(zip(self._shape, self._values))!r})"
+
+    def __reduce__(self):
+        # Copies and unpickled records must share the interned key table.
+        return (Record, (dict(zip(self._shape, self._values)),))
 
     def replace(self, **kwargs) -> "Record":
         """Copy of this record with the given fields replaced or added."""
-        data = dict(self._items)
+        data = dict(zip(self._shape, self._values))
         data.update(kwargs)
         return Record(data)
 
@@ -75,9 +124,12 @@ def freeze(value):
     sets become frozensets.  Raises TypeError for floats and anything else
     that is not a model value.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    kind = type(value)
+    if value is None or kind is Record or kind is str or kind is int or kind is bool:
         return value
-    if isinstance(value, Record):
+    if kind is tuple:
+        return tuple(map(freeze, value))
+    if isinstance(value, (bool, int, str, Record)):
         return value
     if isinstance(value, Mapping):
         return Record(value)
@@ -90,62 +142,133 @@ def freeze(value):
 
 def dumps(value) -> str:
     """Canonical one-line serialization; equal values give equal strings."""
+    if type(value) is Record:
+        return value._text or _record_text(value)
     out = []
-    _write(freeze(value), out)
+    _write(value, out)
     return "".join(out)
 
 
+def _record_text(record: Record) -> str:
+    """Render a record and cache its text on it."""
+    out = ["{"]
+    for i, (key, value) in enumerate(zip(record._shape, record._values)):
+        if i:
+            out.append(",")
+        out.append(_quote(key))
+        out.append(":")
+        _write(value, out)
+    out.append("}")
+    text = "".join(out)
+    object.__setattr__(record, "_text", text)
+    return text
+
+
 def _write(value, out) -> None:
-    if value is None:
+    kind = type(value)
+    if kind is Record:
+        out.append(value._text or _record_text(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, Record):
-        out.append("{")
-        for i, (k, v) in enumerate(value._items):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(":")
-            _write(v, out)
-        out.append("}")
-    elif isinstance(value, tuple):
+    elif kind is tuple:
         out.append("[")
         for i, v in enumerate(value):
             if i:
                 out.append(",")
             _write(v, out)
         out.append("]")
-    elif isinstance(value, frozenset):
+    elif kind is frozenset:
         members = sorted(dumps(v) for v in value)
         out.append('{"%s":[' % SET_TAG)
         out.append(",".join(members))
         out.append("]}")
-    else:  # pragma: no cover - freeze() already rejects these
-        raise TypeError(f"not a model value: {value!r}")
+    else:  # plain containers, and subclasses of the model types
+        frozen = freeze(value)
+        if frozen is not value:
+            _write(frozen, out)
+        elif isinstance(value, str):
+            out.append(_quote(value))
+        elif isinstance(value, int):
+            out.append(str(value))
+        else:  # a Record subclass
+            out.append(value._text or _record_text(value))
 
 
-def loads(text: str):
-    """Parse a canonical serialization back into a frozen value."""
-    return _decode(json.loads(text))
+def _no_float(text: str):
+    raise TypeError(f"model values may not contain floats: {text}")
 
 
-def _decode(value):
-    if isinstance(value, float):
-        raise TypeError(f"model values may not contain floats: {value!r}")
-    if isinstance(value, dict):
-        if set(value.keys()) == {SET_TAG}:
-            return frozenset(_decode(v) for v in value[SET_TAG])
-        return Record({k: _decode(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return tuple(_decode(v) for v in value)
-    return value
+def _tuples(value):
+    """JSON arrays as tuples, recursively; records were built by the hook."""
+    return tuple(_tuples(v) if type(v) is list else v for v in value)
+
+
+def _from_pairs(pairs: list[tuple[str, object]]):
+    """Build a Record (or a set) from one parsed JSON object's key/value pairs."""
+    keys, values = zip(*pairs) if pairs else ((), ())
+    shape = _SHAPES.get(keys)
+    if shape is not None:  # canonical order, no duplicates
+        if list in map(type, values):
+            values = _tuples(values)
+        return Record._make(shape, values)
+    data = dict(pairs)  # a repeated key keeps its last value, as json.loads does
+    if data.keys() == {SET_TAG}:
+        members = data[SET_TAG]
+        return frozenset(_tuples(members) if type(members) is list else members)
+    return Record(data)
+
+
+def _decoder(hook) -> json.JSONDecoder:
+    return json.JSONDecoder(object_pairs_hook=hook, parse_float=_no_float, parse_constant=_no_float)
+
+
+_DECODER = _decoder(_from_pairs)
+
+
+def loads(text: str, memo: dict | None = None):
+    """Parse a canonical serialization back into a frozen value.
+
+    With ``memo``, every record whose text equals one already parsed through
+    the same memo is returned as that earlier object.
+    """
+    if memo is None:
+        value = _DECODER.decode(text)
+    else:
+
+        def shared(pairs):
+            value = _from_pairs(pairs)
+            if type(value) is Record:
+                known = memo.setdefault(value, value)
+                if known is not value and all(map(_same, known._values, value._values)):
+                    return known
+            return value
+
+        value = _decoder(shared).decode(text)
+    return _tuples(value) if type(value) is list else value
+
+
+def _same(a, b) -> bool:
+    """Whether two equal values also serialize alike (``1 == True``, but not in text)."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is tuple:
+        return all(map(_same, a, b))
+    if kind is Record:
+        return a._shape is b._shape and all(map(_same, a._values, b._values))
+    if kind is frozenset:
+        return dumps(a) == dumps(b)
+    return True
 
 
 def diff(a, b, path: str = "") -> list[tuple[str, object, object]]:

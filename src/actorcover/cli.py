@@ -159,6 +159,10 @@ def cmd_run(args) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.mutant and args.mutant not in spec.mutants:
+        known = ", ".join(sorted(spec.mutants)) or "none"
+        print(f"error: unknown mutant {args.mutant!r} (known: {known})", file=sys.stderr)
+        return USAGE_ERROR
     try:
         suite = suitefile.read_suite_file(args.suite)
     except MalformedInputError as exc:
@@ -171,15 +175,10 @@ def cmd_run(args) -> int:
         )
         return USAGE_ERROR
     bounds = spec.bounds_from_value(suite.header.bounds)
-    if args.mutant:
-        try:
-            factory = lambda: spec.mutants[args.mutant](bounds)  # noqa: E731
-        except KeyError:
-            print(f"error: unknown mutant {args.mutant!r}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        factory = lambda: spec.make_emulator(bounds)  # noqa: E731
-    report = run_suite(factory, suite, fail_fast=args.fail_fast, replay_dir=args.replay_log)
+    make = spec.mutants[args.mutant] if args.mutant else spec.make_emulator
+    report = run_suite(
+        lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
+    )
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8", newline="\n")
     print(json.dumps(report.totals, sort_keys=True))

@@ -50,13 +50,22 @@ class ModelState:
         )
 
     @classmethod
-    def from_value(cls, value: canon.Record) -> "ModelState":
+    def from_value(cls, value: canon.Record, memo: dict | None = None) -> "ModelState":
+        """State of a parsed value; ``memo`` shares equal events (see Event.from_value)."""
         return cls(
             actors=value["actors"],
             alive=value["alive"],
             globals_=value["globals"],
-            events=frozenset(Event.from_value(v) for v in value["events"]),
+            events=frozenset(Event.from_value(v, memo) for v in value["events"]),
         )
+
+    def __hash__(self) -> int:
+        # Dedup hashes each successor several times; compute it once.
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.actors, self.alive, self.globals_, self.events))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def key(self) -> str:
         """Injective canonical key; stable across processes.

@@ -183,6 +183,7 @@ def _body_lines(body: str):
 def read_graph_file(path) -> GraphFile:
     header, body = _read(Path(path), "graph")
     lines = _body_lines(body)
+    memo: dict = {}  # equal records and events parsed from this file are one object
     states: list[ModelState] = []
     for lineno, fields in lines:
         if fields[0] != "S":
@@ -191,7 +192,7 @@ def read_graph_file(path) -> GraphFile:
             raise MalformedInputError(lineno, "S line needs index and state")
         try:
             index = int(fields[1])
-            state = ModelState.from_value(canon.loads(fields[2]))
+            state = ModelState.from_value(canon.loads(fields[2], memo), memo)
         except (ValueError, TypeError, KeyError) as exc:
             raise MalformedInputError(lineno, f"bad state: {exc}") from exc
         if index != len(states) + 1:
@@ -209,7 +210,7 @@ def read_graph_file(path) -> GraphFile:
             raise MalformedInputError(lineno, "E line needs src, dst and action")
         try:
             src, dst = int(fields[1]), int(fields[2])
-            action = Action.from_value(canon.loads(fields[3]))
+            action = Action.from_value(canon.loads(fields[3], memo), memo)
         except (ValueError, TypeError, KeyError) as exc:
             raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):

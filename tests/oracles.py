@@ -1,13 +1,15 @@
-"""Independent reference solvers the package is checked against.
+"""Independent reference solvers and serializer the package is checked against.
 
 Deliberately naive: these share no code or algorithmic structure with the
-production solvers, so agreement is meaningful.
+production code, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from collections import deque
+from collections.abc import Mapping
 
 
 def ford_fulkerson_unit(n: int, edges: list[tuple[int, int, int]], s: int, t: int) -> int:
@@ -92,3 +94,31 @@ def min_total_cover_length(n: int, edges: list[tuple[int, int]], source: int) ->
                 dist[new] = nd
                 heapq.heappush(heap, (nd, new))
     return None
+
+
+def reference_dumps(value) -> str:
+    """Canonical text of a model value, by the recursive serializer ``canon``
+    used before Records cached their text.
+
+    Walks plain and frozen values alike through the Mapping interface:
+    sorted record keys, sorted set members as ``{"$set":[...]}``.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=True)
+    if isinstance(value, Mapping):
+        fields = (json.dumps(k, ensure_ascii=True) + ":" + reference_dumps(value[k])
+                  for k in sorted(value))
+        return "{" + ",".join(fields) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_dumps(v) for v in value) + "]"
+    if isinstance(value, (set, frozenset)):
+        return '{"$set":[' + ",".join(sorted(reference_dumps(v) for v in value)) + "]}"
+    raise TypeError(f"not a model value: {value!r}")

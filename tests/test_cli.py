@@ -48,6 +48,21 @@ def test_run_exit_codes(work, capsys):
     assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit")[0] == 1
 
 
+def test_run_rejects_an_unknown_mutant(work, tmp_path, capsys):
+    rc, _out, err = cli(capsys, "run", "--model", "vr", "--suite", work / "suite.ac1",
+                        "--mutant", "bogus")
+    assert rc == 2
+    assert err == ("error: unknown mutant 'bogus' (known: keep-phase2, no-commit-broadcast, "
+                   "prepend-entry, skip-commit, stale-prepare)\n")
+    kv_graph, kv_suite = tmp_path / "kv.graph", tmp_path / "kv.suite"
+    assert cli(capsys, "explore", *KV_TINY, "--out", kv_graph)[0] == 0
+    assert cli(capsys, "gensuite", "--graph", kv_graph, "--out", kv_suite)[0] == 0
+    assert cli(capsys, "run", "--model", "kv", "--suite", kv_suite)[0] == 0
+    rc, _out, err = cli(capsys, "run", "--model", "kv", "--suite", kv_suite, "--mutant", "bogus")
+    assert rc == 2
+    assert err == "error: unknown mutant 'bogus' (known: none)\n"
+
+
 def test_run_fail_fast_stops_after_the_first_failing_path(work, capsys):
     # The min suite's path 0 already fails; baseline paths follow edge ids,
     # so several pass before skip-commit's first kill.
@@ -222,6 +237,24 @@ def test_run_rejects_bad_suites_with_a_line_number(work, capsys, damage, line, s
     assert rc == 2
     assert re.search(rf"{re.escape(str(suite))}: line {line}: ", err), err
     assert says in err
+
+
+@pytest.mark.parametrize(
+    "bad, says",
+    [
+        ("1.5", "bad state: model values may not contain floats"),
+        ('{"$set":[1],"x":1}', "bad state: record key '$set' is reserved"),
+    ],
+)
+def test_gensuite_rejects_a_bad_state_value_with_its_line(work, capsys, bad, says):
+    graph = work / "graph.ac1"
+    header, *body = graph.read_text(encoding="utf-8").splitlines()
+    assert body[4].startswith("S\t5\t") and '"queriesCount":' in body[4]
+    body[4] = re.sub(r'"queriesCount":\d+', lambda _m: f'"queriesCount":{bad}', body[4])
+    rewrite(graph, header, body)
+    rc, _out, err = cli(capsys, "gensuite", "--graph", graph)
+    assert rc == 2
+    assert err.startswith(f"error: {graph}: line 6: {says}"), err
 
 
 def test_replay_checks_the_suite_hash(work, capsys):

@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
 from actorcover import canon
 from actorcover.actors import Action, Event
 from actorcover.explore import (
+    Edge,
     StateCapExceededError,
+    TransitionGraph,
     canonical_key,
     check_quiescent_progress,
     explore,
@@ -15,6 +19,7 @@ from actorcover.model import (
     ModelState,
     merged_events,
 )
+from actorcover.suitefile import read_graph_file, write_graph_file
 from actorcover.systems.kv import KvBounds, KvModel
 
 
@@ -210,3 +215,29 @@ def test_canonical_key_stable_listing():
         '"events":{"$set":[]},"globals":{"gets":0,"sets":0}}'
     )
     assert canonical_key(state) == canon.dumps(state.to_value())
+
+
+# sha256 of the graph files ``write_graph_file`` wrote for the conftest vr
+# (310 states) and kv graphs, taken before Records cached their text.
+GRAPH_DIGESTS = {
+    "vr": "636505e46ebe93cbf8c4dd5b1b69003114e5856bb99bfe8b5c08b5faca116796",
+    "kv": "0584025d6114a05087822ef6d064fda436ce7f2d8d1c8a9450a4184be19ec6fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_DIGESTS))
+def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
+    model, graph = request.getfixturevalue(f"{name}_graph")
+    first, second = tmp_path / "first.ac1", tmp_path / "second.ac1"
+    write_graph_file(first, model.name, model.bounds_value(), graph)
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == GRAPH_DIGESTS[name]
+    # Read back through the shared-record memo, the graph writes the same bytes.
+    read = read_graph_file(first)
+    assert read.states == graph.states
+    events = {}
+    for event in [e for s in read.states for e in s.events] + [a.event for _s, a, _d in read.edges]:
+        assert event is None or events.setdefault(event.key(), event) is event
+    assert [(e.source, e.action, e.destination) for e in graph.edges] == read.edges
+    write_graph_file(second, model.name, model.bounds_value(),
+                     TransitionGraph(read.states, [Edge(*e) for e in read.edges]))
+    assert second.read_bytes() == first.read_bytes()
