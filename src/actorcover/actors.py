@@ -8,16 +8,16 @@ thread anywhere in this module.
 
 Faults are actions too: events can be dropped or payload-corrupted, actors
 can be crashed (volatile state reset, deliveries refused) and restarted.
-A crash never drops pending events implicitly -- the crash action lists
-every dropped event explicitly, which keeps replays exact.
+The emulator accepts every fault kind; the model decides which faults
+occur.  A crash never drops pending events implicitly -- the crash action
+lists every dropped event explicitly, which keeps replays exact.
 """
 
 from __future__ import annotations
 
-import io
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import canon
@@ -34,7 +34,6 @@ CRASH = "crash"
 RESTART = "restart"
 
 ACTION_KINDS = (INJECT, DELIVER, DROP, CORRUPT, CRASH, RESTART)
-FAULT_KINDS = frozenset({DROP, CORRUPT, CRASH, RESTART})
 
 
 class IllegalActionError(Exception):
@@ -293,7 +292,6 @@ class EmulatorConfig:
 
     actor_count: int
     actor_factory: Callable[[int, int], Actor]
-    enabled_faults: frozenset[str] = field(default_factory=lambda: frozenset(FAULT_KINDS))
 
     def __post_init__(self):
         if self.actor_count < 1:
@@ -334,10 +332,6 @@ class Emulator:
         handler(action)
         return self.snapshot()
 
-    def _check_fault(self, kind: str) -> None:
-        if kind not in self.config.enabled_faults:
-            raise IllegalActionError(f"fault action {kind!r} disabled by configuration")
-
     def _check_actor(self, target) -> int:
         if not isinstance(target, int) or not 0 <= target < self.config.actor_count:
             raise IllegalActionError(f"no such actor: {target!r}")
@@ -370,13 +364,11 @@ class Emulator:
             self.store.insert(request.to_event(target))
 
     def _step_drop(self, action: Action) -> None:
-        self._check_fault(DROP)
         if action.event is None:
             raise IllegalActionError("drop requires an event selector")
         self.store.withdraw(action.event)
 
     def _step_corrupt(self, action: Action) -> None:
-        self._check_fault(CORRUPT)
         event = action.event
         if event is None:
             raise IllegalActionError("corrupt requires an event selector")
@@ -384,7 +376,6 @@ class Emulator:
         self.store.insert(Event(event.kind, action.payload, event.source, event.destination))
 
     def _step_crash(self, action: Action) -> None:
-        self._check_fault(CRASH)
         target = self._check_actor(action.target)
         if not self.alive[target]:
             raise IllegalActionError(f"actor {target} is already crashed")
@@ -396,24 +387,8 @@ class Emulator:
             self.store.withdraw(event)
 
     def _step_restart(self, action: Action) -> None:
-        self._check_fault(RESTART)
         target = self._check_actor(action.target)
         if self.alive[target]:
             raise IllegalActionError(f"actor {target} is not crashed")
         self.alive[target] = True
 
-
-def write_action_log(stream: io.TextIOBase, actions: list[Action]) -> None:
-    """Write one canonical action per line; the byte-exact replay format."""
-    for action in actions:
-        stream.write(action.key())
-        stream.write("\n")
-
-
-def read_action_log(stream: io.TextIOBase) -> list[Action]:
-    actions = []
-    for line in stream:
-        line = line.strip()
-        if line:
-            actions.append(Action.from_value(canon.loads(line)))
-    return actions

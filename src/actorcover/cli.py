@@ -113,13 +113,13 @@ def cmd_gensuite(args) -> int:
         with open(path, "rb") as handle:
             first = handle.readline()
         if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
-            graph_file = suitefile.read_graph_file(path)
-            graph, cover = graph_file.header, graph_file.cover_graph()
+            header, graph = suitefile.read_graph_file(path)
+            cover = graph.cover_graph()
         else:
             data = path.read_bytes()
             cover = suitefile.parse_edge_list(data.decode("utf-8"))
             digest = hashlib.sha256(data).hexdigest()
-            graph = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
+            header = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -127,7 +127,11 @@ def cmd_gensuite(args) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     started = time.perf_counter()
-    suite = algorithm(cover)
+    try:
+        suite = algorithm(cover)
+    except tsg.UnreachableVertexError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     elapsed = time.perf_counter() - started
     report = tsg.verify_coverage(cover, suite)
     if not report.ok:
@@ -135,7 +139,7 @@ def cmd_gensuite(args) -> int:
               file=sys.stderr)
         return VERIFY_ERROR
     if args.out:
-        suitefile.write_suite_file(args.out, path, graph, suite)
+        suitefile.write_suite_file(args.out, path, header, suite)
     rate = suite.path_count / elapsed if elapsed > 0 else float("inf")
     print(
         json.dumps(
@@ -199,6 +203,13 @@ def cmd_replay(args) -> int:
         log = read_replay_log(args.log)
     except (KeyError, OSError, LogVersionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MalformedInputError as exc:
+        print(f"error: {args.log}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    if log.model != spec.name:
+        print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
+              file=sys.stderr)
         return USAGE_ERROR
     expected_hash = None
     if args.suite:

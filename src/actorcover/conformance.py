@@ -24,7 +24,7 @@ from typing import Callable
 from . import canon
 from .actors import Action, ActorFailure, Emulator, IllegalActionError, SystemState
 from .model import ModelState
-from .suitefile import SuiteFile
+from .suitefile import MalformedInputError, SuiteFile
 
 PASS = "PASS"
 STATE_MISMATCH = "STATE_MISMATCH"
@@ -169,8 +169,8 @@ def run_path(
     graph = suite.graph
     steps = []
     for eid in suite.paths[path_id]:
-        _src, action, dst = graph.edges[eid]
-        steps.append((action, graph.states[dst - 1]))
+        edge = graph.edges[eid]
+        steps.append((edge.action, graph.state(edge.destination)))
     verdict = _execute(emulator_factory(), steps, path_id)
     if not verdict.passed and replay_dir is not None:
         write_replay_log(Path(replay_dir) / f"path_{path_id}.replay", suite, path_id)
@@ -219,8 +219,9 @@ def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:
     lines = [json.dumps(header, sort_keys=True)]
     graph = suite.graph
     for eid in suite.paths[path_id]:
-        _src, action, dst = graph.edges[eid]
-        lines.append("\t".join(("R", action.key(), str(dst), graph.states[dst - 1].key())))
+        edge = graph.edges[eid]
+        state = graph.state(edge.destination)
+        lines.append("\t".join(("R", edge.action.key(), str(edge.destination), state.key())))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
@@ -235,31 +236,40 @@ class ReplayLog:
 
 
 def read_replay_log(path) -> ReplayLog:
+    """Parse a replay log; MalformedInputError names the offending line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    if header.get("version") != REPLAY_LOG_VERSION:
-        raise LogVersionMismatchError(
-            f"log version {header.get('version')!r}, expected {REPLAY_LOG_VERSION}"
-        )
+    if not lines:
+        raise MalformedInputError(1, "empty replay log")
+    try:
+        header = json.loads(lines[0])
+        version = header.get("version")
+    except (ValueError, AttributeError) as exc:
+        raise MalformedInputError(1, f"bad replay log header: {exc}") from exc
+    if version != REPLAY_LOG_VERSION:
+        raise LogVersionMismatchError(f"log version {version!r}, expected {REPLAY_LOG_VERSION}")
+    try:
+        model, suite_hash, path_id = header["model"], header["suite_hash"], header["path"]
+        bounds = canon.loads(header["bounds"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise MalformedInputError(1, f"bad replay log header: {exc!r}") from exc
     steps = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        _tag, action_text, dest_text, state_text = line.split("\t")
-        steps.append(
-            (
-                Action.from_value(canon.loads(action_text)),
-                int(dest_text),
-                ModelState.from_value(canon.loads(state_text)),
+        fields = line.split("\t")
+        if len(fields) != 4 or fields[0] != "R":
+            raise MalformedInputError(lineno, "R line needs action, destination and state")
+        try:
+            steps.append(
+                (
+                    Action.from_value(canon.loads(fields[1])),
+                    int(fields[2]),
+                    ModelState.from_value(canon.loads(fields[3])),
+                )
             )
-        )
-    return ReplayLog(
-        model=header["model"],
-        bounds=canon.loads(header["bounds"]),
-        suite_hash=header["suite_hash"],
-        path_id=header["path"],
-        steps=steps,
-    )
+        except (ValueError, TypeError, KeyError) as exc:
+            raise MalformedInputError(lineno, f"bad replay step: {exc}") from exc
+    return ReplayLog(model, bounds, suite_hash, path_id, steps)
 
 
 def replay(

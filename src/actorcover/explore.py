@@ -5,6 +5,11 @@ order; index 1 is always the initial state.  Exploration is level
 synchronous: each BFS level's new states are sorted by canonical key
 before indexing, which makes the resulting indices (and therefore every
 file derived from the graph) identical across runs and processes.
+
+:class:`TransitionGraph` is the pipeline's one graph type: ``explore``
+builds it, ``suitefile.read_graph_file`` reads it back, ``gensuite``
+covers it through :meth:`TransitionGraph.cover_graph`, and ``run`` replays
+its edges.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 from . import canon
 from .actors import Action
 from .model import InvariantViolation, Model, ModelState
+from .tsg import CoverGraph
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -28,7 +34,7 @@ class StateCapExceededError(Exception):
         self.edges = edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: int
     action: Action
@@ -53,6 +59,10 @@ class TransitionGraph:
     def state(self, index: int) -> ModelState:
         """1-based lookup; index 1 is the initial state."""
         return self.states[index - 1]
+
+    def cover_graph(self) -> CoverGraph:
+        """The edges' endpoints, for the suite generators in ``tsg``."""
+        return CoverGraph(self.state_count, [(e.source, e.destination) for e in self.edges])
 
     def sink_indices(self) -> list[int]:
         sources = {e.source for e in self.edges}
@@ -96,21 +106,12 @@ class ExploreResult:
         return not self.violations
 
 
-def canonical_key(state: ModelState) -> str:
-    """Canonical dedup key; injective over semantically distinct states."""
-    return state.key()
-
-
-def explore(
-    model: Model,
-    max_states: int = DEFAULT_STATE_CAP,
-    stop_on_violation: bool = True,
-) -> ExploreResult:
+def explore(model: Model, max_states: int = DEFAULT_STATE_CAP) -> ExploreResult:
     """BFS the model from its initial state under the hard state cap.
 
-    Invariants are checked at every discovered state.  With
-    ``stop_on_violation`` the current level is finished and exploration
-    stops, so the reported counterexample path is shortest.
+    Invariants are checked at every discovered state.  After a violation
+    the current level is finished and exploration stops, so the reported
+    counterexample path is shortest.
     """
     invariants = model.invariants()
     init = model.initial_state()
@@ -128,7 +129,7 @@ def explore(
 
     check(init, 1)
     frontier = [1]
-    while frontier and not (violations and stop_on_violation):
+    while frontier and not violations:
         expansions = [
             (src, action, model.apply(states[src - 1], action))
             for src in frontier
@@ -139,7 +140,7 @@ def explore(
         for src, action, succ in expansions:
             if succ not in index_of and succ not in fresh:
                 fresh[succ] = (src, action)
-        level = sorted(fresh, key=canonical_key)
+        level = sorted(fresh, key=ModelState.key)
         for succ in level:
             src, action = fresh[succ]
             if len(states) >= max_states:

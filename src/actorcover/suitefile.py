@@ -10,6 +10,8 @@ Layout (UTF-8, LF newlines, TAB-separated fields):
 
 ``kind`` is graph or suite.  State index 1 is always the initial state
 and S lines appear in index order; edge ids number the E lines from 0.
+A graph file reads back into the ``explore.TransitionGraph`` it was
+written from.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
 were produced from.
@@ -36,7 +38,7 @@ from pathlib import Path
 
 from . import canon
 from .actors import Action
-from .explore import TransitionGraph
+from .explore import Edge, TransitionGraph
 from .model import ModelState
 from .tsg import CoverGraph, TestSuite
 
@@ -63,21 +65,11 @@ class Header:
 
 
 @dataclass
-class GraphFile:
-    header: Header
-    states: list[ModelState]
-    edges: list[tuple[int, Action, int]]
-
-    def cover_graph(self) -> CoverGraph:
-        return CoverGraph(len(self.states), [(src, dst) for src, _a, dst in self.edges])
-
-
-@dataclass
 class SuiteFile:
-    """A suite's header, the graph file it pins, and its edge-id paths."""
+    """A suite's header, the graph its G line pins, and its edge-id paths."""
 
     header: Header
-    graph: GraphFile
+    graph: TransitionGraph
     paths: list[list[int]]
 
 
@@ -180,7 +172,7 @@ def _body_lines(body: str):
     return out
 
 
-def read_graph_file(path) -> GraphFile:
+def read_graph_file(path) -> tuple[Header, TransitionGraph]:
     header, body = _read(Path(path), "graph")
     lines = _body_lines(body)
     memo: dict = {}  # equal records and events parsed from this file are one object
@@ -200,7 +192,7 @@ def read_graph_file(path) -> GraphFile:
         states.append(state)
     if not states:
         raise MalformedInputError(1, "graph file has no states (index 1 required)")
-    edges: list[tuple[int, Action, int]] = []
+    edges: list[Edge] = []
     for lineno, fields in lines:
         if fields[0] != "E":
             if fields[0] not in ("S",):
@@ -215,22 +207,22 @@ def read_graph_file(path) -> GraphFile:
             raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
-        edges.append((src, action, dst))
-    return GraphFile(header, states, edges)
+        edges.append(Edge(src, action, dst))
+    return header, TransitionGraph(states, edges)
 
 
-def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> GraphFile:
+def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> TransitionGraph:
     if len(fields) != 3:
         raise MalformedInputError(lineno, "G line needs a graph file and its content hash")
     name, pinned = fields[1], fields[2]
     try:
-        graph = read_graph_file(directory / name)
+        header, graph = read_graph_file(directory / name)
     except MalformedInputError as exc:
         raise MalformedInputError(lineno, f"graph file {name}: {exc}") from exc
-    if graph.header.content_hash != pinned:
+    if header.content_hash != pinned:
         raise MalformedInputError(
             lineno,
-            f"graph file {name} has content hash {graph.header.content_hash[:12]}, "
+            f"graph file {name} has content hash {header.content_hash[:12]}, "
             f"the suite pins {pinned[:12]}; regenerate the suite with `actorcover gensuite`",
         )
     return graph
@@ -270,9 +262,9 @@ def read_suite_file(path) -> SuiteFile:
             raise MalformedInputError(lineno, f"P line claims {count} edges, fields disagree")
         at = 1
         for eid in eids:
-            if not 0 <= eid < len(graph.edges) or graph.edges[eid][0] != at:
+            if not 0 <= eid < len(graph.edges) or graph.edges[eid].source != at:
                 raise MalformedInputError(lineno, f"edge {eid} does not leave state {at}")
-            at = graph.edges[eid][2]
+            at = graph.edges[eid].destination
         paths.append(eids)
     if graph is None:
         raise MalformedInputError(2, "suite file has no G line")

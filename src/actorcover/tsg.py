@@ -16,7 +16,8 @@ of root-anchored paths that together traverse every edge at least once:
     edges cost 1, return edges cost 0), which makes the summed path
     length minimal among all edge-covering suites.
 
-Vertices are 1-based with source 1; edges are identified by their 0-based
+Vertices are 1-based and the source is always vertex 1 (``SOURCE``), the
+initial state of an explored graph; edges are identified by their 0-based
 position in the input list.  All tie-breaking is by ascending edge id, so
 each generator is a deterministic function of the input graph.
 """
@@ -27,6 +28,8 @@ import random
 from dataclasses import dataclass, field
 
 from .flow import BoundedEdge, solve_circulation
+
+SOURCE = 1
 
 
 class UnreachableVertexError(Exception):
@@ -43,7 +46,7 @@ class UnbalancedDegreeError(Exception):
 
 @dataclass
 class CoverGraph:
-    """Directed multigraph with vertices 1..n and source 1.
+    """Directed multigraph with vertices 1..n and source vertex 1.
 
     Parallel edges and self-loops are allowed; ``edges[k]`` is the
     (source, destination) pair of edge id k.
@@ -51,30 +54,6 @@ class CoverGraph:
 
     n: int
     edges: list[tuple[int, int]]
-    source: int = 1
-
-    def out_edge_ids(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for eid, (u, _v) in enumerate(self.edges):
-            out[u].append(eid)
-        return out
-
-    def distances(self) -> list[int]:
-        """BFS distance from the source per vertex; -1 marks unreachable."""
-        out = self.out_edge_ids()
-        dist = [-1] * (self.n + 1)
-        dist[self.source] = 0
-        frontier = [self.source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for eid in out[u]:
-                    v = self.edges[eid][1]
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
 
 
 @dataclass
@@ -106,45 +85,45 @@ class CoverageReport:
     def ok(self) -> bool:
         return not self.uncovered
 
-    @property
-    def within_bound(self) -> bool:
-        return self.total_length <= self.length_bound
 
+def _bfs(graph: CoverGraph) -> tuple[list[int], list[int]]:
+    """BFS from the source: parent edge id and distance per vertex.
 
-def diameter(graph: CoverGraph) -> int:
-    """Maximum BFS distance from the source to any vertex."""
-    dist = graph.distances()
-    unreachable = [v for v in range(1, graph.n + 1) if dist[v] < 0]
-    if unreachable:
-        raise UnreachableVertexError(f"vertices unreachable from source: {unreachable}")
-    return max(dist[1:]) if graph.n else 0
-
-
-def _bfs_tree(graph: CoverGraph) -> list[int]:
-    """Parent edge id per vertex (-1 at the source), ascending-id tie-break."""
-    out = graph.out_edge_ids()
-    parent = [-2] * (graph.n + 1)
-    parent[graph.source] = -1
-    frontier = [graph.source]
+    The parent of the source is -1; ties break by ascending edge id.
+    Raises UnreachableVertexError unless every vertex is reached.
+    """
+    out: list[list[int]] = [[] for _ in range(graph.n + 1)]
+    for eid, (u, _v) in enumerate(graph.edges):
+        out[u].append(eid)
+    parent = [-1] * (graph.n + 1)
+    dist = [-1] * (graph.n + 1)
+    dist[SOURCE] = 0
+    frontier = [SOURCE]
     while frontier:
         nxt = []
         for u in frontier:
             for eid in out[u]:
                 v = graph.edges[eid][1]
-                if parent[v] == -2:
-                    parent[v] = eid
+                if dist[v] < 0:
+                    parent[v], dist[v] = eid, dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    missing = [v for v in range(1, graph.n + 1) if parent[v] == -2]
+    missing = [v for v in range(1, graph.n + 1) if dist[v] < 0]
     if missing:
         raise UnreachableVertexError(f"vertices unreachable from source: {missing}")
-    return parent
+    return parent, dist
+
+
+def diameter(graph: CoverGraph) -> int:
+    """Maximum BFS distance from the source to any vertex."""
+    _parent, dist = _bfs(graph)
+    return max(dist[1:])
 
 
 def baseline_suite(graph: CoverGraph) -> TestSuite:
     """One path per edge: the BFS-tree path to its source plus the edge."""
-    parent = _bfs_tree(graph)
-    tree_paths: dict[int, list[int]] = {graph.source: []}
+    parent, _dist = _bfs(graph)
+    tree_paths: dict[int, list[int]] = {SOURCE: []}
 
     def tree_path(v: int) -> list[int]:
         if v not in tree_paths:
@@ -194,17 +173,14 @@ def euler_circuit(n: int, edges: list[tuple[int, int]], start: int) -> list[int]
 
 
 def _circulation_suite(graph: CoverGraph, minimize_cost: bool) -> TestSuite:
-    dist = graph.distances()
-    unreachable = [v for v in range(1, graph.n + 1) if dist[v] < 0]
-    if unreachable:
-        raise UnreachableVertexError(f"vertices unreachable from source: {unreachable}")
+    _bfs(graph)  # rejects unreachable vertices
     m = len(graph.edges)
     if m == 0:
         return TestSuite([])
     cap = m + 1  # finite stand-in for unbounded capacity; m units always suffice
     bounded = [BoundedEdge(u - 1, v - 1, 1, cap, 1) for u, v in graph.edges]
     for v in range(1, graph.n + 1):
-        bounded.append(BoundedEdge(v - 1, graph.source - 1, 0, cap, 0))
+        bounded.append(BoundedEdge(v - 1, SOURCE - 1, 0, cap, 0))
     flows = solve_circulation(graph.n, bounded, minimize_cost=minimize_cost)
 
     # Duplicate each edge by its flow; return edges get ids >= m.
@@ -220,7 +196,7 @@ def _circulation_suite(graph: CoverGraph, minimize_cost: bool) -> TestSuite:
             multi_edges.append((e.source + 1, e.destination + 1))
             labels.append(-1)  # return edge marker
 
-    circuit = euler_circuit(graph.n, multi_edges, graph.source)
+    circuit = euler_circuit(graph.n, multi_edges, SOURCE)
     paths: list[list[int]] = []
     current: list[int] = []
     for instance in circuit:
@@ -256,7 +232,7 @@ def verify_coverage(graph: CoverGraph, suite: TestSuite) -> CoverageReport:
     """
     hits = [0] * len(graph.edges)
     for pid, path in enumerate(suite.paths):
-        position = graph.source
+        position = SOURCE
         for eid in path:
             if not 0 <= eid < len(graph.edges):
                 raise MalformedPathError(f"path {pid}: no such edge id {eid}")

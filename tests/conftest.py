@@ -4,7 +4,7 @@ from actorcover.explore import explore
 from actorcover.suitefile import read_header, read_suite_file, write_graph_file, write_suite_file
 from actorcover.systems.kv import KvBounds, KvModel, make_emulator as kv_emulator
 from actorcover.systems.vr import VrBounds, VrModel, make_emulator as vr_emulator
-from actorcover.tsg import CoverGraph, min_suite
+from actorcover.tsg import min_suite
 
 VR_BOUNDS = VrBounds(replicas=2, max_queries=1, max_views=1)
 KV_BOUNDS = KvBounds(actors=3, max_sets=1)
@@ -29,8 +29,7 @@ def vr_graph():
 @pytest.fixture(scope="session")
 def vr_min_suite(vr_graph, tmp_path_factory):
     model, graph = vr_graph
-    cover = CoverGraph(graph.state_count, [(e.source, e.destination) for e in graph.edges])
-    suite = min_suite(cover)
+    suite = min_suite(graph.cover_graph())
     return _suite_file(tmp_path_factory.mktemp("vr"), model, graph, suite)
 
 
@@ -50,8 +49,7 @@ def kv_graph():
 @pytest.fixture(scope="session")
 def kv_min_suite(kv_graph, tmp_path_factory):
     model, graph = kv_graph
-    cover = CoverGraph(graph.state_count, [(e.source, e.destination) for e in graph.edges])
-    suite = min_suite(cover)
+    suite = min_suite(graph.cover_graph())
     return _suite_file(tmp_path_factory.mktemp("kv"), model, graph, suite)
 
 

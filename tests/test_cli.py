@@ -257,6 +257,49 @@ def test_gensuite_rejects_a_bad_state_value_with_its_line(work, capsys, bad, say
     assert err.startswith(f"error: {graph}: line 6: {says}"), err
 
 
+def test_gensuite_rejects_an_edge_list_with_unreachable_vertices(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n3 4\n", encoding="utf-8")
+    rc, _out, err = cli(capsys, "gensuite", "--graph", edges)
+    assert rc == 2
+    assert err == f"error: {edges}: vertices unreachable from source: [3, 4]\n"
+
+
+@pytest.fixture(scope="module")
+def vr_log(built, tmp_path_factory):
+    """A replay log of the keep-phase2 mutant on the vr min suite."""
+    logs = tmp_path_factory.mktemp("logs")
+    assert main(["run", "--model", "vr", "--suite", str(built / "suite.ac1"),
+                 "--mutant", "keep-phase2", "--replay-log", str(logs)]) == 1
+    return sorted(logs.glob("*.replay"))[0]
+
+
+def test_replay_rejects_a_log_of_another_model(vr_log, capsys):
+    rc, _out, err = cli(capsys, "replay", "--model", "kv", "--log", vr_log)
+    assert rc == 2
+    assert err == "error: log was written for model 'vr', not 'kv'\n"
+
+
+@pytest.mark.parametrize(
+    "damage, line, says",
+    [
+        (lambda lines: [], 1, "empty replay log"),
+        (lambda lines: ["{not json"] + lines[1:], 1, "bad replay log header"),
+        (lambda lines: lines[:1] + ["\t".join(lines[1].split("\t")[:3])] + lines[2:], 2,
+         "R line needs action, destination and state"),
+    ],
+    ids=["empty", "header-not-json", "step-with-3-fields"],
+)
+def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, damage, line,
+                                                      says):
+    log = tmp_path / "bad.replay"
+    lines = damage(vr_log.read_text(encoding="utf-8").splitlines())
+    log.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
+    assert rc == 2
+    assert err.startswith(f"error: {log}: line {line}: {says}"), err
+
+
 def test_replay_checks_the_suite_hash(work, capsys):
     suite = work / "suite.ac1"
     logs = work / "logs"
@@ -318,3 +361,30 @@ def test_stats_rejects_a_tampered_file(work, capsys):
     rc, _out, err = cli(capsys, "stats", edit_body(work))
     assert rc == 2
     assert "line 1: content hash mismatch" in err
+
+
+# sha256 of `run --out report.json --replay-log logs` on the min suite of the
+# conftest vr bounds: the report, then each replay log's name and bytes.
+# Taken before graph files were read into a TransitionGraph.
+RUN_DIGESTS = {
+    "correct": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
+    "keep-phase2": "5817d7b758e57b8e86115cee24c4071163adcc2e5589d875f521351a59f15782",
+    "no-commit-broadcast": "199b40a99a143a350d104121f31e7134c19f8a1938420a8e2aaa5190882e4c12",
+    "prepend-entry": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
+    "skip-commit": "532836741ad18eaa2a04e8a7c9dd826c13c0841d95f82c4d8aeb679395d60d1e",
+    "stale-prepare": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(RUN_DIGESTS))
+def test_run_outputs_are_pinned_byte_for_byte(work, monkeypatch, capsys, mutant):
+    monkeypatch.chdir(work)
+    argv = ["run", "--model", "vr", "--suite", "suite.ac1", "--out", "report.json",
+            "--replay-log", "logs"]
+    if mutant != "correct":
+        argv += ["--mutant", mutant]
+    assert cli(capsys, *argv)[0] in (0, 1)
+    digest = hashlib.sha256((work / "report.json").read_bytes())
+    for log in sorted((work / "logs").glob("*.replay")):
+        digest.update(log.name.encode("utf-8") + b"\0" + log.read_bytes())
+    assert digest.hexdigest() == RUN_DIGESTS[mutant]

@@ -4,11 +4,9 @@ import pytest
 
 from actorcover import canon
 from actorcover.actors import Action, Event
+from actorcover.dot import export_dot
 from actorcover.explore import (
-    Edge,
     StateCapExceededError,
-    TransitionGraph,
-    canonical_key,
     check_quiescent_progress,
     explore,
 )
@@ -95,7 +93,7 @@ def test_kv_three_actor_graph_shape():
 
 def test_vertex_count_equals_distinct_canonical_keys():
     graph = explore(KvModel(KvBounds(actors=2, max_sets=2))).graph
-    keys = {canonical_key(s) for s in graph.states}
+    keys = {s.key() for s in graph.states}
     assert len(keys) == graph.state_count
 
 
@@ -126,9 +124,7 @@ def test_exploring_twice_yields_identical_graphs():
     model = KvModel(KvBounds(actors=2, max_sets=2, max_gets=1))
     first = explore(model).graph
     second = explore(model).graph
-    assert [canonical_key(s) for s in first.states] == [
-        canonical_key(s) for s in second.states
-    ]
+    assert [s.key() for s in first.states] == [s.key() for s in second.states]
     assert [(e.source, e.action.key(), e.destination) for e in first.edges] == [
         (e.source, e.action.key(), e.destination) for e in second.edges
     ]
@@ -210,11 +206,11 @@ def test_merged_events_removes_and_adds():
 
 def test_canonical_key_stable_listing():
     state = KvModel(KvBounds(actors=2)).initial_state()
-    assert canonical_key(state) == (
+    assert state.key() == (
         '{"actors":[{"storage":{}},{"storage":{}}],"alive":[true,true],'
         '"events":{"$set":[]},"globals":{"gets":0,"sets":0}}'
     )
-    assert canonical_key(state) == canon.dumps(state.to_value())
+    assert state.key() == canon.dumps(state.to_value())
 
 
 # sha256 of the graph files ``write_graph_file`` wrote for the conftest vr
@@ -232,12 +228,19 @@ def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
     write_graph_file(first, model.name, model.bounds_value(), graph)
     assert hashlib.sha256(first.read_bytes()).hexdigest() == GRAPH_DIGESTS[name]
     # Read back through the shared-record memo, the graph writes the same bytes.
-    read = read_graph_file(first)
+    _header, read = read_graph_file(first)
     assert read.states == graph.states
+    assert read.edges == graph.edges
     events = {}
-    for event in [e for s in read.states for e in s.events] + [a.event for _s, a, _d in read.edges]:
+    for event in [e for s in read.states for e in s.events] + [e.action.event for e in read.edges]:
         assert event is None or events.setdefault(event.key(), event) is event
-    assert [(e.source, e.action, e.destination) for e in graph.edges] == read.edges
-    write_graph_file(second, model.name, model.bounds_value(),
-                     TransitionGraph(read.states, [Edge(*e) for e in read.edges]))
+    write_graph_file(second, model.name, model.bounds_value(), read)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["kv", "vr"])
+def test_a_read_graph_exports_the_same_dot(request, tmp_path, name):
+    model, graph = request.getfixturevalue(f"{name}_graph")
+    write_graph_file(tmp_path / "graph.ac1", model.name, model.bounds_value(), graph)
+    _header, read = read_graph_file(tmp_path / "graph.ac1")
+    assert export_dot(read) == export_dot(graph)
