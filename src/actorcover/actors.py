@@ -66,6 +66,14 @@ class Event:
     def __post_init__(self):
         object.__setattr__(self, "payload", canon.freeze(self.payload))
 
+    def __hash__(self) -> int:
+        # Event sets and the models' step memos hash each event many times.
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.kind, self.payload, self.source, self.destination))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def to_value(self) -> canon.Record:
         value = getattr(self, "_value", None)
         if value is None:

@@ -117,7 +117,7 @@ def cmd_gensuite(args) -> int:
             cover = graph.cover_graph()
         else:
             data = path.read_bytes()
-            cover = suitefile.parse_edge_list(data.decode("utf-8"))
+            cover = suitefile.parse_edge_list(suitefile.decode_utf8(data))
             digest = hashlib.sha256(data).hexdigest()
             header = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
     except OSError as exc:
@@ -157,15 +157,28 @@ def cmd_gensuite(args) -> int:
     return 0
 
 
+def _emulator_maker(spec, mutant: str | None):
+    """The emulator factory of the named mutant, or of the correct implementation.
+
+    None for an unknown mutant, after printing the error.
+    """
+    if mutant is None:
+        return spec.make_emulator
+    if mutant not in spec.mutants:
+        known = ", ".join(sorted(spec.mutants)) or "none"
+        print(f"error: unknown mutant {mutant!r} (known: {known})", file=sys.stderr)
+        return None
+    return spec.mutants[mutant]
+
+
 def cmd_run(args) -> int:
     try:
         spec = get_system(args.model)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.mutant and args.mutant not in spec.mutants:
-        known = ", ".join(sorted(spec.mutants)) or "none"
-        print(f"error: unknown mutant {args.mutant!r} (known: {known})", file=sys.stderr)
+    make = _emulator_maker(spec, args.mutant)
+    if make is None:
         return USAGE_ERROR
     try:
         suite = suitefile.read_suite_file(args.suite)
@@ -179,7 +192,6 @@ def cmd_run(args) -> int:
         )
         return USAGE_ERROR
     bounds = spec.bounds_from_value(suite.header.bounds)
-    make = spec.mutants[args.mutant] if args.mutant else spec.make_emulator
     report = run_suite(
         lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
     )
@@ -200,8 +212,15 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     try:
         spec = get_system(args.model)
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    make = _emulator_maker(spec, args.mutant)
+    if make is None:
+        return USAGE_ERROR
+    try:
         log = read_replay_log(args.log)
-    except (KeyError, OSError, LogVersionMismatchError) as exc:
+    except (OSError, LogVersionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MalformedInputError as exc:
@@ -220,7 +239,7 @@ def cmd_replay(args) -> int:
             return USAGE_ERROR
     bounds = spec.bounds_from_value(log.bounds)
     try:
-        verdict = replay(args.log, lambda: spec.make_emulator(bounds), expected_hash)
+        verdict = replay(args.log, lambda: make(bounds), expected_hash)
     except LogVersionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -288,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=sorted(REGISTRY))
     p.add_argument("--log", required=True)
     p.add_argument("--suite", help="cross-check the log against this suite's hash")
+    p.add_argument("--mutant", help="replay against a seeded-bug implementation variant")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("stats", help="print summary statistics of a graph or suite file")

@@ -24,7 +24,7 @@ from typing import Callable
 from . import canon
 from .actors import Action, ActorFailure, Emulator, IllegalActionError, SystemState
 from .model import ModelState
-from .suitefile import MalformedInputError, SuiteFile
+from .suitefile import MalformedInputError, SuiteFile, decode_utf8
 
 PASS = "PASS"
 STATE_MISMATCH = "STATE_MISMATCH"
@@ -237,7 +237,7 @@ class ReplayLog:
 
 def read_replay_log(path) -> ReplayLog:
     """Parse a replay log; MalformedInputError names the offending line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = decode_utf8(Path(path).read_bytes()).splitlines()
     if not lines:
         raise MalformedInputError(1, "empty replay log")
     try:

@@ -3,8 +3,9 @@
 States are deduplicated by canonical key and indexed 1-based in discovery
 order; index 1 is always the initial state.  Exploration is level
 synchronous: each BFS level's new states are sorted by canonical key
-before indexing, which makes the resulting indices (and therefore every
-file derived from the graph) identical across runs and processes.
+(rendered for the sort, not kept on the states) before indexing, which
+makes the resulting indices (and therefore every file derived from the
+graph) identical across runs and processes.
 
 :class:`TransitionGraph` is the pipeline's one graph type: ``explore``
 builds it, ``suitefile.read_graph_file`` reads it back, ``gensuite``
@@ -128,19 +129,23 @@ def explore(model: Model, max_states: int = DEFAULT_STATE_CAP) -> ExploreResult:
                 violations.append(InvariantViolation(index, inv.name, detail))
 
     check(init, 1)
+    # One object per distinct action, so each action's key is rendered once
+    # when the graph is written.
+    shared: dict[Action, Action] = {}
     frontier = [1]
     while frontier and not violations:
-        expansions = [
-            (src, action, model.apply(states[src - 1], action))
-            for src in frontier
-            for action in model.enabled_actions(states[src - 1])
-        ]
+        expansions = []
+        for src in frontier:
+            state = states[src - 1]
+            for action in model.enabled_actions(state):
+                action = shared.setdefault(action, action)
+                expansions.append((src, action, model.apply(state, action)))
         # Dedup new successors; assign this level's indices in key order.
         fresh: dict[ModelState, tuple[int, Action]] = {}
         for src, action, succ in expansions:
             if succ not in index_of and succ not in fresh:
                 fresh[succ] = (src, action)
-        level = sorted(fresh, key=ModelState.key)
+        level = sorted(fresh, key=ModelState.text)
         for succ in level:
             src, action = fresh[succ]
             if len(states) >= max_states:

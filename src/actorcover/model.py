@@ -70,26 +70,37 @@ class ModelState:
     def key(self) -> str:
         """Injective canonical key; stable across processes.
 
-        Assembled from cached per-event keys; equals
-        ``canon.dumps(self.to_value())`` byte for byte.
+        The first call renders :meth:`text` and keeps it on the state, for
+        callers that ask for the same state's key many times (replay logs
+        write a state once per path through it).
         """
         key = getattr(self, "_key", None)
         if key is None:
-            key = "".join(
-                (
-                    '{"actors":',
-                    canon.dumps(self.actors),
-                    ',"alive":',
-                    canon.dumps(self.alive),
-                    ',"events":{"%s":[' % canon.SET_TAG,
-                    ",".join(sorted(e.key() for e in self.events)),
-                    ']},"globals":',
-                    canon.dumps(self.globals_),
-                    "}",
-                )
-            )
+            key = self.text()
             object.__setattr__(self, "_key", key)
         return key
+
+    def text(self) -> str:
+        """The canonical key, rendered afresh and not kept.
+
+        Assembled from cached per-record and per-event texts; equals
+        ``canon.dumps(self.to_value())`` byte for byte.  Explore's level
+        sort and the graph writer use it once per state, so they pin no
+        key string per state.
+        """
+        return "".join(
+            (
+                '{"actors":',
+                canon.dumps(self.actors),
+                ',"alive":',
+                canon.dumps(self.alive),
+                ',"events":{"%s":[' % canon.SET_TAG,
+                ",".join(sorted(e.key() for e in self.events)),
+                ']},"globals":',
+                canon.dumps(self.globals_),
+                "}",
+            )
+        )
 
     def replace_actor(self, index: int, actor_value) -> tuple:
         actors = list(self.actors)

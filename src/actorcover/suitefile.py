@@ -14,7 +14,8 @@ A graph file reads back into the ``explore.TransitionGraph`` it was
 written from.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
-were produced from.
+were produced from.  Readers check the hash before they parse the body,
+then parse it one line at a time, so no reader holds a file's text.
 
 A suite holds only what its graph does not.  The G line names the graph
 file relative to the suite's directory and pins the graph's hash, so the
@@ -96,7 +97,7 @@ def write_graph_file(path, model_name: str, bounds, graph: TransitionGraph) -> s
     """Write states and labeled edges; returns the content hash."""
     lines = []
     for i, state in enumerate(graph.states, start=1):
-        lines.append(f"S\t{i}\t{state.key()}")
+        lines.append(f"S\t{i}\t{state.text()}")
     for edge in graph.edges:
         lines.append(f"E\t{edge.source}\t{edge.destination}\t{edge.action.key()}")
     return _finish(Path(path), "graph", model_name, bounds, graph.stats_value(), lines)
@@ -154,60 +155,70 @@ def read_header(path, kinds: tuple[str, ...] = ("graph", "suite")) -> Header:
     return _parse_header(line, kinds, digest.hexdigest())
 
 
-def _read(path: Path, kind: str) -> tuple[Header, str]:
+def decode_utf8(data: bytes, first_line: int = 1) -> str:
+    """``data`` as text; MalformedInputError names the line of the first bad byte."""
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MalformedInputError(0, str(exc)) from exc
-    line, _newline, body = data.partition(b"\n")
-    header = _parse_header(line, (kind,), hashlib.sha256(body).hexdigest())
-    return header, body.decode("utf-8")
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        raise MalformedInputError(line, f"not UTF-8 ({exc.reason})") from exc
 
 
-def _body_lines(body: str):
-    out = []
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        if line.strip():
-            out.append((lineno, line.split("\t")))
-    return out
+def _body_lines(path):
+    """(line number, fields) of each non-blank body line, read one line at a time.
+
+    Callers check the file's header and hash with ``read_header`` first.
+    """
+    with open(path, "rb") as handle:
+        handle.readline()
+        for lineno, raw in enumerate(handle, start=2):
+            line = decode_utf8(raw, lineno)
+            if line.strip():
+                yield lineno, line.rstrip("\r\n").split("\t")
 
 
 def read_graph_file(path) -> tuple[Header, TransitionGraph]:
-    header, body = _read(Path(path), "graph")
-    lines = _body_lines(body)
+    """Check the header and hash, then parse S and E lines one at a time.
+
+    Only the parsed graph is held, never the file's text.  The first bad
+    line in file order is reported, except that an edge endpoint can only
+    be checked once every state is known, after the last line.
+    """
+    header = read_header(path, ("graph",))
     memo: dict = {}  # equal records and events parsed from this file are one object
     states: list[ModelState] = []
-    for lineno, fields in lines:
-        if fields[0] != "S":
-            continue
-        if len(fields) != 3:
-            raise MalformedInputError(lineno, "S line needs index and state")
-        try:
-            index = int(fields[1])
-            state = ModelState.from_value(canon.loads(fields[2], memo), memo)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise MalformedInputError(lineno, f"bad state: {exc}") from exc
-        if index != len(states) + 1:
-            raise MalformedInputError(lineno, f"state index {index} out of order")
-        states.append(state)
+    edges: list[Edge] = []
+    unchecked: list[tuple[int, int, int]] = []  # E lines naming a state not yet read
+    for lineno, fields in _body_lines(path):
+        if fields[0] == "S":
+            if len(fields) != 3:
+                raise MalformedInputError(lineno, "S line needs index and state")
+            try:
+                index = int(fields[1])
+                state = ModelState.from_value(canon.loads(fields[2], memo), memo)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise MalformedInputError(lineno, f"bad state: {exc}") from exc
+            if index != len(states) + 1:
+                raise MalformedInputError(lineno, f"state index {index} out of order")
+            states.append(state)
+        elif fields[0] == "E":
+            if len(fields) != 4:
+                raise MalformedInputError(lineno, "E line needs src, dst and action")
+            try:
+                src, dst = int(fields[1]), int(fields[2])
+                action = Action.from_value(canon.loads(fields[3], memo), memo)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
+            if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
+                unchecked.append((lineno, src, dst))
+            edges.append(Edge(src, action, dst))
+        else:
+            raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
     if not states:
         raise MalformedInputError(1, "graph file has no states (index 1 required)")
-    edges: list[Edge] = []
-    for lineno, fields in lines:
-        if fields[0] != "E":
-            if fields[0] not in ("S",):
-                raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
-            continue
-        if len(fields) != 4:
-            raise MalformedInputError(lineno, "E line needs src, dst and action")
-        try:
-            src, dst = int(fields[1]), int(fields[2])
-            action = Action.from_value(canon.loads(fields[3], memo), memo)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
+    for lineno, src, dst in unchecked:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
-        edges.append(Edge(src, action, dst))
     return header, TransitionGraph(states, edges)
 
 
@@ -234,12 +245,12 @@ def read_suite_file(path) -> SuiteFile:
     Every path must start at state 1 and chain edge to edge through the graph.
     """
     path = Path(path)
-    header, body = _read(path, "suite")
+    header = read_header(path, ("suite",))
     if header.model == "none":
         raise MalformedInputError(1, "a suite of a plain edge list (model=none) cannot be run")
     graph = None
     paths: list[list[int]] = []
-    for lineno, fields in _body_lines(body):
+    for lineno, fields in _body_lines(path):
         if fields[0] == "S":
             raise MalformedInputError(
                 lineno,

@@ -142,6 +142,16 @@ class VrModel(Model):
             CATCHUP_QUERY: self._on_catchup_query,
             CATCHUP_REPLY: self._on_catchup_reply,
         }
+        # Actor-local step memo, keyed on (destination record, event): the
+        # delivery guard's verdict, and the handler's (record, emissions).
+        # Sound because the guard and the handlers read only the
+        # destination's record, the event and constants of this model
+        # (``n``, ``commit_without_quorum``).  The key compares by value,
+        # as explore's state dedup already does.  Equal steps then return
+        # the same Record and Event objects, whose hash, text and key are
+        # computed once.
+        self._deliverable_memo: dict[tuple, bool] = {}
+        self._deliver_memo: dict[tuple, tuple[canon.Record, tuple[Event, ...]]] = {}
 
     def bounds_value(self) -> canon.Record:
         return self.bounds.to_value()
@@ -187,7 +197,14 @@ class VrModel(Model):
         return actions
 
     def _deliverable(self, state: ModelState, event: Event) -> bool:
-        """Whether delivering this event is a transition of the graph.
+        key = (state.actors[event.destination], event)
+        verdict = self._deliverable_memo.get(key)
+        if verdict is None:
+            verdict = self._deliverable_memo[key] = self._guard(key[0], event)
+        return verdict
+
+    def _guard(self, rec: canon.Record, event: Event) -> bool:
+        """Whether delivering this event to ``rec`` is a transition of the graph.
 
         Events a replica is not ready for (future views, log gaps) and
         events that would change nothing stay pending instead of being
@@ -197,7 +214,6 @@ class VrModel(Model):
         against (dropping stale Prepares and ignoring client requests at
         a non-master).
         """
-        rec = state.actors[event.destination]
         p = event.payload
         kind = event.kind
         if kind == CATCHUP_QUERY:
@@ -301,9 +317,14 @@ class VrModel(Model):
             raise GuardViolationError(f"event not in flight: {event.key()}")
         if not self._deliverable(state, event):
             raise GuardViolationError(f"delivery not enabled: {event.key()}")
-        rec, emitted = self._handlers[event.kind](dict(state.actors[event.destination]), event)
+        key = (state.actors[event.destination], event)
+        step = self._deliver_memo.get(key)
+        if step is None:
+            rec, emitted = self._handlers[event.kind](dict(key[0]), event)
+            step = self._deliver_memo[key] = (canon.Record(rec), tuple(emitted))
+        rec, emitted = step
         return ModelState(
-            actors=state.replace_actor(event.destination, canon.Record(rec)),
+            actors=state.replace_actor(event.destination, rec),
             alive=state.alive,
             globals_=state.globals_,
             events=merged_events(state.events, event, emitted),

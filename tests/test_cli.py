@@ -159,11 +159,16 @@ def truncate(work):
 
 def rewrite(suite, header, body):
     """Write a suite file with ``body`` lines under a header whose hash matches them."""
-    text = "".join(line + "\n" for line in body)
-    header = header.split("\t")
-    header[-1] = "hash=" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-    suite.write_text("\t".join(header) + "\n" + text, encoding="utf-8")
-    return suite
+    return rewrite_bytes(suite, header.encode("utf-8"), [line.encode("utf-8") for line in body])
+
+
+def rewrite_bytes(path, header, body):
+    """Write ``body`` byte lines under ``header`` with its hash recomputed over them."""
+    data = b"".join(line + b"\n" for line in body)
+    fields = header.split(b"\t")
+    fields[-1] = b"hash=" + hashlib.sha256(data).hexdigest().encode("ascii")
+    path.write_bytes(b"\t".join(fields) + b"\n" + data)
+    return path
 
 
 def old_format(work):
@@ -388,3 +393,97 @@ def test_run_outputs_are_pinned_byte_for_byte(work, monkeypatch, capsys, mutant)
     for log in sorted((work / "logs").glob("*.replay")):
         digest.update(log.name.encode("utf-8") + b"\0" + log.read_bytes())
     assert digest.hexdigest() == RUN_DIGESTS[mutant]
+
+
+def damage_graph(work, edit):
+    """Apply ``edit`` to the graph file's body lines, under a matching hash."""
+    graph = work / "graph.ac1"
+    header, *body = graph.read_bytes().splitlines()
+    return rewrite_bytes(graph, header, edit(body))
+
+
+def first_edge(body, replace):
+    at = next(i for i, line in enumerate(body) if line.startswith(b"E\t"))
+    return body[:at] + [replace(body[at])] + body[at + 1:]
+
+
+@pytest.mark.parametrize(
+    "edit, line, says",
+    [
+        # 310 S lines (lines 2-311), then E lines; the first is line 312.
+        (lambda body: first_edge(body, lambda e: b"E\t1\t999\t" + e.split(b"\t")[3]), 312,
+         "edge endpoint out of range: 1->999"),
+        (lambda body: body[:5] + [b"X\t1"] + body[5:], 7, "unknown record 'X'"),
+        (lambda body: body[:3] + [body[3].replace(b'"queriesCount"', b'"queries\xffCount"')]
+         + body[4:], 5, "not UTF-8"),
+        (lambda body: first_edge(body, lambda e: e + b"\xe2\x82"), 312, "not UTF-8"),
+    ],
+    ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8"],
+)
+def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, line, says):
+    graph = damage_graph(work, edit)
+    rc, _out, err = cli(capsys, "gensuite", "--graph", graph)
+    assert rc == 2
+    assert err.startswith(f"error: {graph}: line {line}: {says}"), err
+
+
+def last_state_moved_to_the_end(body):
+    assert body[309].startswith(b"S\t310\t") and body[310].startswith(b"E\t")
+    return body[:309] + body[310:] + body[309:310]
+
+
+def test_an_edge_may_name_a_state_listed_after_it(work, capsys):
+    # Endpoints are checked once every S line is read.
+    graph = damage_graph(work, last_state_moved_to_the_end)
+    assert cli(capsys, "gensuite", "--graph", graph)[0] == 0
+
+
+def test_run_rejects_a_suite_line_that_is_not_utf8(work, capsys):
+    suite = work / "suite.ac1"
+    header, *body = suite.read_bytes().splitlines()
+    rewrite_bytes(suite, header, body[:2] + [body[2] + b"\x80"] + body[3:])
+    rc, _out, err = cli(capsys, "run", "--model", "vr", "--suite", suite)
+    assert rc == 2
+    assert err.startswith(f"error: {suite}: line 4: not UTF-8"), err
+
+
+def test_gensuite_rejects_an_edge_list_that_is_not_utf8(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"1 2\n2 \xff3\n")
+    rc, _out, err = cli(capsys, "gensuite", "--graph", edges)
+    assert rc == 2
+    assert err.startswith(f"error: {edges}: line 2: not UTF-8"), err
+
+
+def test_replay_rejects_a_log_that_is_not_utf8(vr_log, tmp_path, capsys):
+    log = tmp_path / "bad.replay"
+    lines = vr_log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:2] + [b"\xfe" + lines[2]] + lines[3:]))
+    rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
+    assert rc == 2
+    assert err.startswith(f"error: {log}: line 3: not UTF-8"), err
+
+
+def test_replay_mutant_reproduces_the_logged_failure(work, capsys):
+    suite, logs, report = work / "suite.ac1", work / "logs", work / "report.json"
+    assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit",
+               "--replay-log", logs, "--out", report)[0] == 1
+    verdicts = json.loads(report.read_text(encoding="utf-8"))["verdicts"]
+    failed = next(v for v in verdicts if v["status"] != "PASS")
+    log = logs / f"path_{failed['path']}.replay"
+    rc, out, _err = cli(capsys, "replay", "--model", "vr", "--log", log,
+                        "--mutant", "skip-commit", "--suite", suite)
+    assert rc == 1
+    assert json.loads(out) == failed
+    # The correct implementation passes the same log.
+    rc, out, _err = cli(capsys, "replay", "--model", "vr", "--log", log)
+    assert rc == 0
+    assert json.loads(out)["status"] == "PASS"
+
+
+def test_replay_rejects_an_unknown_mutant_before_reading_the_log(tmp_path, capsys):
+    rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", tmp_path / "missing.replay",
+                        "--mutant", "bogus")
+    assert rc == 2
+    assert err == ("error: unknown mutant 'bogus' (known: keep-phase2, no-commit-broadcast, "
+                   "prepend-entry, skip-commit, stale-prepare)\n")

@@ -19,6 +19,7 @@ from actorcover.model import (
 )
 from actorcover.suitefile import read_graph_file, write_graph_file
 from actorcover.systems.kv import KvBounds, KvModel
+from actorcover.systems.vr import VrBounds, VrModel
 
 
 class CounterModel(Model):
@@ -236,6 +237,35 @@ def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
         assert event is None or events.setdefault(event.key(), event) is event
     write_graph_file(second, model.name, model.bounds_value(), read)
     assert second.read_bytes() == first.read_bytes()
+
+
+# sha256 of the graph files written for the benchmark's two explored bounds,
+# taken before explore shared actions and memoized replica steps.
+BENCH_GRAPH_DIGESTS = {
+    "vr-r2-q2-v1": (
+        lambda: VrModel(VrBounds(replicas=2, max_queries=2, max_views=1)),
+        "cd3d45a78b8803c4d371bdfcb1775cb157b87646dfab9d3ee165a9f26d42a020",
+    ),
+    "kv-a3-s2-crash-drop": (
+        lambda: KvModel(KvBounds(actors=3, max_sets=2, allow_crash=True, allow_drop=True)),
+        "41ec17bd68e2f43ccbad650d320bef7e3e9fc506e7729a20dedddbb4a9d11fdb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GRAPH_DIGESTS))
+def test_bench_graph_files_are_pinned_byte_for_byte(tmp_path, name):
+    make_model, digest = BENCH_GRAPH_DIGESTS[name]
+    model = make_model()
+    result = explore(model)
+    assert result.ok
+    # Each distinct action is one object on the edges.
+    actions = {}
+    for edge in result.graph.edges:
+        assert actions.setdefault(edge.action, edge.action) is edge.action
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), result.graph)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["kv", "vr"])

@@ -3,8 +3,9 @@ import pytest
 from actorcover import canon
 from actorcover.actors import EXTERNAL, Action, Event
 from actorcover.explore import check_quiescent_progress, explore
-from actorcover.model import GuardViolationError
+from actorcover.model import GuardViolationError, ModelState
 from actorcover.systems.vr import (
+    VIEW_CHANGE,
     VrActor,
     VrBounds,
     VrModel,
@@ -109,6 +110,34 @@ def test_disabled_action_raises_guard_violation():
     model = VrModel(VrBounds(3, 1, 1))
     with pytest.raises(GuardViolationError):
         model.apply(model.initial_state(), Action.deliver(request_event(0)))
+
+
+def test_memoized_steps_keep_both_delivery_guards():
+    # Deliver a Prepare to replica 1 once, so both step memos hold
+    # (replica 1's initial record, prepare).
+    model = VrModel(VrBounds(3, 1, 0))
+    init = model.initial_state()
+    sent = model.apply(init, Action.inject(request_event(0)))
+    sent = model.apply(sent, Action.deliver(request_event(0)))
+    prepare = next(e for e in sent.events if e.destination == 1)
+    delivered = model.apply(sent, Action.deliver(prepare))
+    assert delivered.actors[1]["log"] == (prepare.payload["entry"],)
+    assert (init.actors[1], prepare) in model._deliver_memo
+    # Same record, same event, but the event is not in flight.
+    assert init.actors[1] == sent.actors[1]
+    with pytest.raises(GuardViolationError, match="not in flight"):
+        model.apply(init, Action.deliver(prepare))
+    # The event is in flight, but replica 1 is mid-election, so it is not deliverable.
+    moved = ModelState(
+        actors=sent.replace_actor(1, sent.actors[1].replace(status=VIEW_CHANGE)),
+        alive=sent.alive,
+        globals_=sent.globals_,
+        events=sent.events,
+    )
+    with pytest.raises(GuardViolationError, match="not enabled"):
+        model.apply(moved, Action.deliver(prepare))
+    # With the record back as it was, the memoized step is returned again.
+    assert model.apply(sent, Action.deliver(prepare)) == delivered
 
 
 def test_master_appends_and_replicates():
