@@ -51,6 +51,13 @@ def _bounds_args(parser: argparse.ArgumentParser) -> None:
                         help="comma list of kv fault actions: crash,drop,corrupt")
 
 
+def _file_error(path, exc: Exception) -> int:
+    """Print ``error: <path>: <why>`` for a bad input or unwritable output; exit code 2."""
+    why = (exc.strerror or str(exc)) if isinstance(exc, OSError) else str(exc)
+    print(f"error: {path}: {why}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _make_bounds(spec, args):
     faults = tuple(f for f in args.faults.split(",") if f)
     return spec.make_bounds(
@@ -97,9 +104,15 @@ def cmd_explore(args) -> int:
         print("warning: graph has no sinks; quiescence holds vacuously", file=sys.stderr)
 
     if args.out:
-        suitefile.write_graph_file(args.out, spec.name, model.bounds_value(), graph)
+        try:
+            suitefile.write_graph_file(args.out, spec.name, model.bounds_value(), graph)
+        except OSError as exc:
+            return _file_error(args.out, exc)
     if args.dot:
-        Path(args.dot).write_text(dot.export_dot(graph), encoding="utf-8", newline="\n")
+        try:
+            Path(args.dot).write_text(dot.export_dot(graph), encoding="utf-8", newline="\n")
+        except OSError as exc:
+            return _file_error(args.dot, exc)
     stats = dict(graph.stats_value())
     stats["explore_seconds"] = round(elapsed, 3)
     print(json.dumps(stats, sort_keys=True))
@@ -107,25 +120,26 @@ def cmd_explore(args) -> int:
 
 
 def cmd_gensuite(args) -> int:
+    """Cover every edge of a graph file or plain edge list with paths from vertex 1.
+
+    A graph file is read by ``suitefile.read_cover_graph``: the header and
+    the edges' endpoints.  Every line is checked as ``run`` checks it, but
+    no state is built and each distinct action text is parsed once.
+    """
     algorithm = ALGORITHMS[args.algorithm]
     path = Path(args.graph)
     try:
         with open(path, "rb") as handle:
             first = handle.readline()
         if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
-            header, graph = suitefile.read_graph_file(path)
-            cover = graph.cover_graph()
+            header, cover = suitefile.read_cover_graph(path)
         else:
             data = path.read_bytes()
             cover = suitefile.parse_edge_list(suitefile.decode_utf8(data))
             digest = hashlib.sha256(data).hexdigest()
             header = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except MalformedInputError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (OSError, MalformedInputError) as exc:
+        return _file_error(path, exc)
     started = time.perf_counter()
     try:
         suite = algorithm(cover)
@@ -139,7 +153,10 @@ def cmd_gensuite(args) -> int:
               file=sys.stderr)
         return VERIFY_ERROR
     if args.out:
-        suitefile.write_suite_file(args.out, path, header, suite)
+        try:
+            suitefile.write_suite_file(args.out, path, header, suite)
+        except OSError as exc:
+            return _file_error(args.out, exc)
     rate = suite.path_count / elapsed if elapsed > 0 else float("inf")
     print(
         json.dumps(
@@ -183,8 +200,7 @@ def cmd_run(args) -> int:
     try:
         suite = suitefile.read_suite_file(args.suite)
     except MalformedInputError as exc:
-        print(f"error: {args.suite}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _file_error(args.suite, exc)
     if suite.header.model != spec.name:
         print(
             f"error: suite was generated for model {suite.header.model!r}, not {spec.name!r}",
@@ -192,11 +208,17 @@ def cmd_run(args) -> int:
         )
         return USAGE_ERROR
     bounds = spec.bounds_from_value(suite.header.bounds)
-    report = run_suite(
-        lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
-    )
+    try:
+        report = run_suite(
+            lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
+        )
+    except OSError as exc:  # the emulators do no I/O: a replay log could not be written
+        return _file_error(args.replay_log, exc)
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8", newline="\n")
+        try:
+            Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            return _file_error(args.out, exc)
     print(json.dumps(report.totals, sort_keys=True))
     print(
         f"{len(report.verdicts)} paths in {report.wall_time:.3f}s "
@@ -220,12 +242,11 @@ def cmd_replay(args) -> int:
         return USAGE_ERROR
     try:
         log = read_replay_log(args.log)
-    except (OSError, LogVersionMismatchError) as exc:
+    except LogVersionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except MalformedInputError as exc:
-        print(f"error: {args.log}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (OSError, MalformedInputError) as exc:
+        return _file_error(args.log, exc)
     if log.model != spec.name:
         print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
               file=sys.stderr)
@@ -235,8 +256,7 @@ def cmd_replay(args) -> int:
         try:
             expected_hash = suitefile.read_header(args.suite, ("suite",)).content_hash
         except MalformedInputError as exc:
-            print(f"error: {args.suite}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _file_error(args.suite, exc)
     bounds = spec.bounds_from_value(log.bounds)
     try:
         verdict = replay(args.log, lambda: make(bounds), expected_hash)
@@ -251,8 +271,7 @@ def cmd_stats(args) -> int:
     try:
         header = suitefile.read_header(args.file)
     except MalformedInputError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _file_error(args.file, exc)
     stats = header.stats
     row = {
         "kind": header.kind,

@@ -8,9 +8,10 @@ makes the resulting indices (and therefore every file derived from the
 graph) identical across runs and processes.
 
 :class:`TransitionGraph` is the pipeline's one graph type: ``explore``
-builds it, ``suitefile.read_graph_file`` reads it back, ``gensuite``
-covers it through :meth:`TransitionGraph.cover_graph`, and ``run`` replays
-its edges.
+builds it, and ``suitefile.read_graph_file`` reads it back for ``run``,
+which replays its edges.  ``gensuite`` covers only the edges' endpoints
+(:meth:`TransitionGraph.cover_graph`), which ``suitefile.read_cover_graph``
+reads from a graph file without building its states.
 """
 
 from __future__ import annotations

@@ -14,8 +14,21 @@ A graph file reads back into the ``explore.TransitionGraph`` it was
 written from.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
-were produced from.  Readers check the hash before they parse the body,
-then parse it one line at a time, so no reader holds a file's text.
+were produced from.  Writers render, hash and write the body a few
+hundred lines at a time: the header goes out first with a placeholder
+hash of the same width, and the digest replaces it once the body is
+complete, so no writer holds a file's text and a write that fails partway
+leaves a file whose hash check fails.  Readers check the hash before they
+parse the body, then parse it one line at a time, so no reader holds a
+file's text either.
+
+Each reader parses only what its caller uses.  Both graph readers check
+every line alike (``_scan_graph``) and parse each distinct action text
+once per file, so a file's repeated actions are one ``Action`` object.
+``read_graph_file`` builds the whole ``TransitionGraph``;
+``read_cover_graph``, for ``gensuite``, keeps only the edge endpoints and
+checks the S lines with a plain JSON scan that builds no Records, yet
+rejects every graph ``read_graph_file`` rejects, at the same line.
 
 A suite holds only what its graph does not.  The G line names the graph
 file relative to the suite's directory and pins the graph's hash, so the
@@ -33,9 +46,12 @@ and must be regenerated with ``actorcover gensuite``.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import canon
 from .actors import Action
@@ -45,12 +61,17 @@ from .tsg import CoverGraph, TestSuite
 
 FORMAT_VERSION = "AC1"
 
+_WRITE_LINES = 512  # body lines rendered, hashed and written together
+
 
 class MalformedInputError(Exception):
-    """File does not parse; carries the 1-based offending line number."""
+    """File does not parse; carries the 1-based offending line number.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    ``line`` is None for a file that cannot be read at all.
+    """
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -74,33 +95,43 @@ class SuiteFile:
     paths: list[list[int]]
 
 
-def _finish(path: Path, kind: str, model: str, bounds, stats, body_lines: list[str]) -> str:
-    body = "".join(line + "\n" for line in body_lines)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    header = "\t".join(
+def _write(path, kind: str, model: str, bounds, stats, body_lines: Iterable[str]) -> str:
+    """Stream a header and the body lines to ``path``; returns the body's hash.
+
+    The header is written with a placeholder hash of the digest's width and
+    overwritten in place once every body line is written and hashed.
+    """
+    prefix = "\t".join(
         (
             FORMAT_VERSION,
             kind,
             f"model={model}",
             f"bounds={canon.dumps(bounds)}",
             f"stats={canon.dumps(stats)}",
-            f"hash={digest}",
+            "hash=",
         )
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        handle.write(body)
-    return digest
+    ).encode("utf-8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        handle.write(prefix + b"0" * (2 * digest.digest_size) + b"\n")
+        lines = iter(body_lines)
+        while chunk := list(itertools.islice(lines, _WRITE_LINES)):
+            data = "".join(line + "\n" for line in chunk).encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+        content_hash = digest.hexdigest()
+        handle.seek(len(prefix))
+        handle.write(content_hash.encode("ascii"))
+    return content_hash
 
 
 def write_graph_file(path, model_name: str, bounds, graph: TransitionGraph) -> str:
     """Write states and labeled edges; returns the content hash."""
-    lines = []
-    for i, state in enumerate(graph.states, start=1):
-        lines.append(f"S\t{i}\t{state.text()}")
-    for edge in graph.edges:
-        lines.append(f"E\t{edge.source}\t{edge.destination}\t{edge.action.key()}")
-    return _finish(Path(path), "graph", model_name, bounds, graph.stats_value(), lines)
+    lines = itertools.chain(
+        (f"S\t{i}\t{state.text()}" for i, state in enumerate(graph.states, start=1)),
+        (f"E\t{e.source}\t{e.destination}\t{e.action.key()}" for e in graph.edges),
+    )
+    return _write(path, "graph", model_name, bounds, graph.stats_value(), lines)
 
 
 def write_suite_file(path, graph_path, graph: Header, suite: TestSuite) -> str:
@@ -110,11 +141,12 @@ def write_suite_file(path, graph_path, graph: Header, suite: TestSuite) -> str:
     """
     path = Path(path)
     name = Path(os.path.relpath(graph_path, path.parent)).as_posix()
-    lines = [f"G\t{name}\t{graph.content_hash}"]
-    for p in suite.paths:
-        lines.append("\t".join(["P", str(len(p))] + [str(eid) for eid in p]))
+    lines = itertools.chain(
+        [f"G\t{name}\t{graph.content_hash}"],
+        ("\t".join(["P", str(len(p))] + [str(eid) for eid in p]) for p in suite.paths),
+    )
     stats = graph.stats.replace(paths=suite.path_count, total_length=suite.total_length)
-    return _finish(path, "suite", graph.model, graph.bounds, stats, lines)
+    return _write(path, "suite", graph.model, graph.bounds, stats, lines)
 
 
 def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header:
@@ -151,7 +183,7 @@ def read_header(path, kinds: tuple[str, ...] = ("graph", "suite")) -> Header:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise MalformedInputError(0, str(exc)) from exc
+        raise MalformedInputError(None, exc.strerror or str(exc)) from exc
     return _parse_header(line, kinds, digest.hexdigest())
 
 
@@ -177,17 +209,66 @@ def _body_lines(path):
                 yield lineno, line.rstrip("\r\n").split("\t")
 
 
-def read_graph_file(path) -> tuple[Header, TransitionGraph]:
-    """Check the header and hash, then parse S and E lines one at a time.
+def _plain_object(obj: dict):
+    """JSON object hook of the state scan: a set's members, else the plain dict.
 
-    Only the parsed graph is held, never the file's text.  The first bad
-    line in file order is reported, except that an edge endpoint can only
-    be checked once every state is known, after the last line.
+    Rejects what ``canon.loads`` rejects in an object: ``$set`` beside
+    other keys, and set members that cannot be iterated.
+    """
+    if canon.SET_TAG not in obj:
+        return obj
+    if len(obj) != 1:
+        raise ValueError(f"record key {canon.SET_TAG!r} is reserved")
+    return tuple(obj[canon.SET_TAG])
+
+
+_STATE_SCAN = json.JSONDecoder(
+    object_hook=_plain_object, parse_float=canon._no_float, parse_constant=canon._no_float
+)
+
+_STATE_FIELDS = ("actors", "alive", "globals", "events")  # in from_value's order
+_EVENT_FIELDS = ("kind", "payload", "source", "destination")
+
+
+def _check_state(text: str) -> None:
+    """Reject what ``ModelState.from_value(canon.loads(text))`` rejects, building no Records.
+
+    Parsed sets become tuples of their members and other objects stay
+    dicts, so ``events`` is iterated as ``from_value`` iterates it: the
+    members of a set or array, the keys of a record, the characters of a
+    string.
+    """
+    state = _STATE_SCAN.decode(text)
+    _check_record(state, "a state", _STATE_FIELDS)
+    for event in state["events"]:
+        _check_record(event, "an event", _EVENT_FIELDS)
+
+
+def _check_record(value, what: str, fields: tuple[str, ...]) -> None:
+    if type(value) is not dict:
+        raise TypeError(f"{what} is a record, not {type(value).__name__}")
+    for key in fields:
+        if key not in value:
+            raise KeyError(key)
+
+
+def _scan_graph(path, parse_state: Callable[[str], object],
+                parse_action: Callable[[str], Action], edge: Callable) -> tuple:
+    """Check a graph file's header, hash and every body line; the one place they are checked.
+
+    ``parse_state`` and ``parse_action`` turn an S or E line's text into
+    what the caller keeps, raising ValueError, TypeError or KeyError for a
+    bad one; ``parse_action`` runs once per distinct action text, and only
+    a successful parse is kept, so a bad action is reported at its first
+    line.  ``edge(src, action, dst)`` builds each kept edge.  Returns the
+    header, the parsed states and the edges.  The first bad line in file
+    order is reported, except that an edge endpoint can only be checked
+    once every state is known, after the last line.
     """
     header = read_header(path, ("graph",))
-    memo: dict = {}  # equal records and events parsed from this file are one object
-    states: list[ModelState] = []
-    edges: list[Edge] = []
+    states: list = []
+    edges: list = []
+    actions: dict[str, Action] = {}
     unchecked: list[tuple[int, int, int]] = []  # E lines naming a state not yet read
     for lineno, fields in _body_lines(path):
         if fields[0] == "S":
@@ -195,7 +276,7 @@ def read_graph_file(path) -> tuple[Header, TransitionGraph]:
                 raise MalformedInputError(lineno, "S line needs index and state")
             try:
                 index = int(fields[1])
-                state = ModelState.from_value(canon.loads(fields[2], memo), memo)
+                state = parse_state(fields[2])
             except (ValueError, TypeError, KeyError) as exc:
                 raise MalformedInputError(lineno, f"bad state: {exc}") from exc
             if index != len(states) + 1:
@@ -206,12 +287,14 @@ def read_graph_file(path) -> tuple[Header, TransitionGraph]:
                 raise MalformedInputError(lineno, "E line needs src, dst and action")
             try:
                 src, dst = int(fields[1]), int(fields[2])
-                action = Action.from_value(canon.loads(fields[3], memo), memo)
+                action = actions.get(fields[3])
+                if action is None:
+                    action = actions[fields[3]] = parse_action(fields[3])
             except (ValueError, TypeError, KeyError) as exc:
                 raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
             if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
                 unchecked.append((lineno, src, dst))
-            edges.append(Edge(src, action, dst))
+            edges.append(edge(src, action, dst))
         else:
             raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
     if not states:
@@ -219,7 +302,39 @@ def read_graph_file(path) -> tuple[Header, TransitionGraph]:
     for lineno, src, dst in unchecked:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
+    return header, states, edges
+
+
+def read_graph_file(path) -> tuple[Header, TransitionGraph]:
+    """Check the header and hash, then parse S and E lines one at a time.
+
+    Only the parsed graph is held, never the file's text.  Equal records
+    and events parsed from one file are one object, and so are the edges'
+    actions of equal text.
+    """
+    memo: dict = {}
+    header, states, edges = _scan_graph(
+        path,
+        lambda text: ModelState.from_value(canon.loads(text, memo), memo),
+        lambda text: Action.from_value(canon.loads(text, memo), memo),
+        Edge,
+    )
     return header, TransitionGraph(states, edges)
+
+
+def read_cover_graph(path) -> tuple[Header, CoverGraph]:
+    """The header and the edges' endpoints of a graph file, for ``gensuite``.
+
+    Equals ``read_graph_file(path)[1].cover_graph()`` and rejects the same
+    files at the same lines, but builds no state: S lines are only checked.
+    """
+    header, states, edges = _scan_graph(
+        path,
+        _check_state,
+        lambda text: Action.from_value(canon.loads(text)),
+        lambda src, _action, dst: (src, dst),
+    )
+    return header, CoverGraph(len(states), edges)
 
 
 def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> TransitionGraph:

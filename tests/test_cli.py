@@ -15,6 +15,7 @@ from actorcover.actors import EXTERNAL, Action, Event
 from actorcover.cli import main
 from actorcover.explore import Edge, TransitionGraph
 from actorcover.model import ModelState
+from actorcover.suitefile import read_header
 
 BOUNDS = ("--replicas", "2", "--max-queries", "1", "--max-views", "1")
 KV_TINY = ("--model", "kv", "--replicas", "2", "--max-queries", "1", "--max-gets", "1")
@@ -257,9 +258,27 @@ def test_gensuite_rejects_a_bad_state_value_with_its_line(work, capsys, bad, say
     assert body[4].startswith("S\t5\t") and '"queriesCount":' in body[4]
     body[4] = re.sub(r'"queriesCount":\d+', lambda _m: f'"queriesCount":{bad}', body[4])
     rewrite(graph, header, body)
+    assert_both_reject(work, capsys, graph, 6, says)
+
+
+def repin_suite(work):
+    """Point the suite's G line at the graph file's current hash, so ``run`` reads its body."""
+    suite = work / "suite.ac1"
+    graph_hash = read_header(work / "graph.ac1").content_hash
+    header, g_line, *paths = suite.read_text(encoding="utf-8").splitlines()
+    g_line = g_line.rsplit("\t", 1)[0] + "\t" + graph_hash
+    return rewrite(suite, header, [g_line, *paths])
+
+
+def assert_both_reject(work, capsys, graph, line, says):
+    """gensuite, and run through a suite pinned to the damaged graph, reject it at ``line``."""
     rc, _out, err = cli(capsys, "gensuite", "--graph", graph)
     assert rc == 2
-    assert err.startswith(f"error: {graph}: line 6: {says}"), err
+    assert err.startswith(f"error: {graph}: line {line}: {says}"), err
+    suite = repin_suite(work)
+    rc, _out, err = cli(capsys, "run", "--model", "vr", "--suite", suite)
+    assert rc == 2
+    assert err.startswith(f"error: {suite}: line 2: graph file graph.ac1: line {line}: {says}"), err
 
 
 def test_gensuite_rejects_an_edge_list_with_unreachable_vertices(tmp_path, capsys):
@@ -407,6 +426,23 @@ def first_edge(body, replace):
     return body[:at] + [replace(body[at])] + body[at + 1:]
 
 
+def state_5(body, replace):
+    """Edit the S line of state 5 (line 6), which holds one StartViewChange event."""
+    assert body[4].startswith(b"S\t5\t") and body[4].count(b'"kind":') == 1
+    return body[:4] + [replace(body[4])] + body[5:]
+
+
+EVENTS_SET = re.compile(rb'"events":\{"\$set":(\[.*?\])\}')
+
+
+def same_bad_action(body):
+    """Lines 313 and 320 (E lines 2 and 9) carry one action text that does not parse."""
+    for at in (311, 318):
+        src, dst = body[at].split(b"\t")[1:3]
+        body[at] = b"\t".join([b"E", src, dst, b'{"kind":"explode"}'])
+    return body
+
+
 @pytest.mark.parametrize(
     "edit, line, says",
     [
@@ -417,14 +453,41 @@ def first_edge(body, replace):
         (lambda body: body[:3] + [body[3].replace(b'"queriesCount"', b'"queries\xffCount"')]
          + body[4:], 5, "not UTF-8"),
         (lambda body: first_edge(body, lambda e: e + b"\xe2\x82"), 312, "not UTF-8"),
+        # Shapes that parse as JSON but not as a ModelState.
+        (lambda body: state_5(body, lambda s: EVENTS_SET.sub(b"", s).replace(b",,", b",")), 6,
+         "bad state: 'events'"),
+        (lambda body: state_5(body, lambda s: s.replace(b'"kind":"StartViewChange",', b"")), 6,
+         "bad state: 'kind'"),
+        (lambda body: state_5(body, lambda s: b"S\t5\t7"), 6, "bad state: "),
+        (lambda body: state_5(body, lambda s: s.replace(b'"events":{"$set":[{', b'"events":[{{')),
+         6, "bad state: "),
+        (lambda body: state_5(body, lambda s: s.replace(b'"queriesCount":0',
+                                                        b'"queriesCount":{"$set":7}')), 6,
+         "bad state: 'int' object is not iterable"),
+        (same_bad_action, 313, "bad edge: unknown action kind 'explode'"),
     ],
-    ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8"],
+    ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8",
+         "state-without-events", "event-without-kind", "state-is-an-int", "events-not-json",
+         "set-of-an-int", "same-bad-action-twice"],
 )
 def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, line, says):
+    # run reads the same graph through its suite and rejects it at the same line.
     graph = damage_graph(work, edit)
-    rc, _out, err = cli(capsys, "gensuite", "--graph", graph)
-    assert rc == 2
-    assert err.startswith(f"error: {graph}: line {line}: {says}"), err
+    assert_both_reject(work, capsys, graph, line, says)
+
+
+@pytest.mark.parametrize(
+    "events",
+    [rb'"events":\1', b'"events":{}', b'"events":""'],
+    ids=["plain-array", "empty-record", "empty-string"],
+)
+def test_gensuite_and_run_accept_the_same_events_values(work, capsys, events):
+    # ModelState.from_value iterates `events`: an array of events, or an
+    # empty record or string, gives a state as surely as a set does.
+    graph = damage_graph(work, lambda body: state_5(body, lambda s: EVENTS_SET.sub(events, s)))
+    assert cli(capsys, "gensuite", "--graph", graph)[0] == 0
+    suite = repin_suite(work)
+    assert cli(capsys, "run", "--model", "vr", "--suite", suite)[0] in (0, 1)
 
 
 def last_state_moved_to_the_end(body):
@@ -487,3 +550,43 @@ def test_replay_rejects_an_unknown_mutant_before_reading_the_log(tmp_path, capsy
     assert rc == 2
     assert err == ("error: unknown mutant 'bogus' (known: keep-phase2, no-commit-broadcast, "
                    "prepend-entry, skip-commit, stale-prepare)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["explore", *KV_TINY, "--out", "{missing}/graph.ac1"], "{missing}/graph.ac1"),
+        (["explore", *KV_TINY, "--dot", "{missing}/graph.dot"], "{missing}/graph.dot"),
+        (["gensuite", "--graph", "{work}/graph.ac1", "--out", "{missing}/suite.ac1"],
+         "{missing}/suite.ac1"),
+        (["run", "--model", "vr", "--suite", "{work}/suite.ac1", "--out", "{missing}/r.json"],
+         "{missing}/r.json"),
+        # A directory cannot be made under a regular file.
+        (["run", "--model", "vr", "--suite", "{work}/suite.ac1", "--mutant", "keep-phase2",
+          "--replay-log", "{work}/suite.ac1/logs"], "{work}/suite.ac1/logs"),
+    ],
+    ids=["explore-out", "explore-dot", "gensuite-out", "run-out", "run-replay-log"],
+)
+def test_an_unwritable_output_exits_2_naming_it(work, capsys, argv, output):
+    names = {"work": work, "missing": work / "missing"}
+    rc, _out, err = cli(capsys, *[a.format(**names) for a in argv])
+    assert rc == 2
+    assert err.startswith(f"error: {output.format(**names)}: "), err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gensuite", "--graph", "{missing}"],
+        ["run", "--model", "vr", "--suite", "{missing}"],
+        ["stats", "{missing}"],
+        ["replay", "--model", "vr", "--log", "{missing}"],
+    ],
+    ids=["gensuite", "run", "stats", "replay"],
+)
+def test_a_missing_input_is_named_without_a_line(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.ac1"
+    rc, _out, err = cli(capsys, *[a.format(missing=missing) for a in argv])
+    assert rc == 2
+    assert err == f"error: {missing}: No such file or directory\n"
