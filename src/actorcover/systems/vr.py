@@ -47,6 +47,7 @@ Delivery gating
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .. import canon
 from ..actors import (
@@ -147,14 +148,30 @@ class VrModel(Model):
         # Sound because the guard and the handlers read only the
         # destination's record, the event and constants of this model
         # (``n``, ``commit_without_quorum``).  The key compares by value,
-        # as explore's state dedup already does.  Equal steps then return
-        # the same Record and Event objects, whose hash, text and key are
-        # computed once.
+        # as explore's state dedup already does.
         self._deliverable_memo: dict[tuple, bool] = {}
         self._deliver_memo: dict[tuple, tuple[canon.Record, tuple[Event, ...]]] = {}
+        # One object per step value: the initial records and every handler
+        # output (record and emitted events) pass through this table, keyed
+        # by type and canonical text.  Text, not ``==``: Record(a=1) equals
+        # Record(a=True) but is written differently.  Equal records and
+        # events are then one object, so the memos above and explore's
+        # state dedup hit by identity, and each hash and text is computed
+        # once.
+        self._interned: dict[tuple[type, str], canon.Record | Event] = {}
+        # One Action per distinct action, with its sort token: injects
+        # keyed on (kind, op or view, destination), deliveries on the
+        # event's canonical text.
+        self._inject_actions: dict[tuple[str, int, int], tuple[tuple, Action]] = {}
+        self._deliver_actions: dict[str, tuple[tuple, Action]] = {}
 
     def bounds_value(self) -> canon.Record:
         return self.bounds.to_value()
+
+    def _intern(self, value):
+        """This model's one object of ``value``'s canonical text."""
+        text = value.key() if type(value) is Event else canon.dumps(value)
+        return self._interned.setdefault((type(value), text), value)
 
     def _master(self, view: int) -> int:
         return view % self.n
@@ -164,7 +181,7 @@ class VrModel(Model):
 
     def initial_state(self) -> ModelState:
         return ModelState(
-            actors=tuple(initial_replica(r) for r in range(self.n)),
+            actors=tuple(self._intern(initial_replica(r)) for r in range(self.n)),
             alive=(True,) * self.n,
             globals_=canon.Record(queriesCount=0),
             events=frozenset(),
@@ -174,27 +191,43 @@ class VrModel(Model):
     # Enabledness
 
     def enabled_actions(self, state: ModelState) -> list[Action]:
-        actions: list[Action] = []
-        if state.globals_["queriesCount"] < self.bounds.max_queries:
-            op = state.globals_["queriesCount"] + 1
+        actions: list[tuple[tuple, Action]] = []  # (sort token, action)
+        queries = state.globals_["queriesCount"]
+        if queries < self.bounds.max_queries:
             for dest in range(self.n):
-                actions.append(Action.inject(Event(REQUEST, {"op": op}, EXTERNAL, dest)))
+                actions.append(self._inject_action(REQUEST, "op", queries + 1, dest))
         # One timer stimulus in flight at a time; concurrent elections for
         # the same view still arise through undelivered broadcasts.
-        timeout_pending = any(
-            e.kind == START_VIEW_CHANGE and e.source == EXTERNAL for e in state.events
-        )
+        timeout_pending = False
+        for event in state.events:
+            if event.source == EXTERNAL and event.kind == START_VIEW_CHANGE:
+                timeout_pending = True
+            if event.destination != EXTERNAL and self._deliverable(state, event):
+                actions.append(self._deliver_action(event))
         if not timeout_pending:
             for dest in range(self.n):
                 view = state.actors[dest]["viewNumber"]
                 if view < self.bounds.max_views:
-                    event = Event(START_VIEW_CHANGE, {"view": view + 1}, EXTERNAL, dest)
-                    actions.append(Action.inject(event))
-        for event in state.events:
-            if event.destination != EXTERNAL and self._deliverable(state, event):
-                actions.append(Action.deliver(event))
-        actions.sort(key=Action.sort_token)
-        return actions
+                    actions.append(self._inject_action(START_VIEW_CHANGE, "view", view + 1, dest))
+        # The tokens of distinct actions differ, so no two actions are compared.
+        actions.sort(key=itemgetter(0))
+        return [action for _token, action in actions]
+
+    def _inject_action(self, kind: str, field: str, value: int, dest: int) -> tuple[tuple, Action]:
+        key = (kind, value, dest)
+        entry = self._inject_actions.get(key)
+        if entry is None:
+            action = Action.inject(Event(kind, {field: value}, EXTERNAL, dest))
+            entry = self._inject_actions[key] = (action.sort_token(), action)
+        return entry
+
+    def _deliver_action(self, event: Event) -> tuple[tuple, Action]:
+        key = event.key()
+        entry = self._deliver_actions.get(key)
+        if entry is None:
+            action = Action.deliver(event)
+            entry = self._deliver_actions[key] = (action.sort_token(), action)
+        return entry
 
     def _deliverable(self, state: ModelState, event: Event) -> bool:
         key = (state.actors[event.destination], event)
@@ -321,7 +354,8 @@ class VrModel(Model):
         step = self._deliver_memo.get(key)
         if step is None:
             rec, emitted = self._handlers[event.kind](dict(key[0]), event)
-            step = self._deliver_memo[key] = (canon.Record(rec), tuple(emitted))
+            step = (self._intern(canon.Record(rec)), tuple(map(self._intern, emitted)))
+            self._deliver_memo[key] = step
         rec, emitted = step
         return ModelState(
             actors=state.replace_actor(event.destination, rec),
@@ -529,9 +563,22 @@ class VrModel(Model):
     # Safety and progress checks
 
     def invariants(self) -> list[Invariant]:
+        # Each check is memoized on exactly what it reads: PrefixLogConsistency
+        # the replica records, TypeBounds those and the globals (plus this
+        # model's constants).  Explore's states take far fewer distinct
+        # values of these than there are states (vr r3 q1 v1: 500 actor
+        # tuples for 72,518 states).  Keys compare by value, as the step
+        # memos' do.  The memos live as long as the returned list, so for
+        # one explore.
         return [
-            Invariant("PrefixLogConsistency", self._check_prefix_consistency),
-            Invariant("TypeBounds", self._check_type_bounds),
+            Invariant(
+                "PrefixLogConsistency",
+                _memoized(self._check_prefix_consistency, lambda s: s.actors),
+            ),
+            Invariant(
+                "TypeBounds",
+                _memoized(self._check_type_bounds, lambda s: (s.actors, s.globals_)),
+            ),
         ]
 
     def _check_prefix_consistency(self, state: ModelState) -> str | None:
@@ -574,6 +621,24 @@ class VrModel(Model):
                     f"{len(rec['log'])} log entries"
                 )
         return None
+
+
+def _memoized(check, reads):
+    """``check`` with its verdicts kept per value of ``reads(state)``.
+
+    ``reads`` must return everything of the state that ``check`` reads.
+    """
+    verdicts: dict = {}
+
+    def memoized(state: ModelState) -> str | None:
+        key = reads(state)
+        try:
+            return verdicts[key]
+        except KeyError:
+            verdict = verdicts[key] = check(state)
+            return verdict
+
+    return memoized
 
 
 class VrActor(Actor):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -239,8 +240,10 @@ def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
     assert second.read_bytes() == first.read_bytes()
 
 
-# sha256 of the graph files written for the benchmark's two explored bounds,
-# taken before explore shared actions and memoized replica steps.
+# sha256 of the graph files written for the benchmark's explored bounds: the
+# first two taken before explore shared actions and memoized replica steps,
+# vr r3 q1 v1 (72,518 states, 149,003 edges) before the vr model interned its
+# step values and reused its actions.
 BENCH_GRAPH_DIGESTS = {
     "vr-r2-q2-v1": (
         lambda: VrModel(VrBounds(replicas=2, max_queries=2, max_views=1)),
@@ -249,6 +252,10 @@ BENCH_GRAPH_DIGESTS = {
     "kv-a3-s2-crash-drop": (
         lambda: KvModel(KvBounds(actors=3, max_sets=2, allow_crash=True, allow_drop=True)),
         "41ec17bd68e2f43ccbad650d320bef7e3e9fc506e7729a20dedddbb4a9d11fdb",
+    ),
+    "vr-r3-q1-v1": (
+        lambda: VrModel(VrBounds(replicas=3, max_queries=1, max_views=1)),
+        "d4aae1770642acc53695c23ca683f75c4e2f5501b7d0db7aeb1908b5a2963c21",
     ),
 }
 
@@ -274,3 +281,54 @@ def test_a_read_graph_exports_the_same_dot(request, tmp_path, name):
     write_graph_file(tmp_path / "graph.ac1", model.name, model.bounds_value(), graph)
     _header, read = read_graph_file(tmp_path / "graph.ac1")
     assert export_dot(read) == export_dot(graph)
+
+
+class GcProbe(CounterModel):
+    """CounterModel that records whether the collector runs while it is stepped."""
+
+    def __init__(self, limit, fail_at_apply=None):
+        super().__init__(limit)
+        self.fail_at_apply = fail_at_apply
+        self.collector_enabled = []
+
+    def enabled_actions(self, state):
+        self.collector_enabled.append(gc.isenabled())
+        return super().enabled_actions(state)
+
+    def apply(self, state, action):
+        if state.actors[0]["count"] == self.fail_at_apply:
+            raise RuntimeError("model error")
+        return super().apply(state, action)
+
+
+@pytest.fixture
+def collector_enabled():
+    """The collector on at the start of a test, and as it was after it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_explore_pauses_the_collector_and_enables_it_again(collector_enabled):
+    model = GcProbe(5)
+    explore(model)
+    assert model.collector_enabled == [False] * 6
+    assert gc.isenabled()
+
+
+def test_the_collector_is_enabled_again_when_explore_raises(collector_enabled):
+    with pytest.raises(StateCapExceededError):
+        explore(GcProbe(100), max_states=10)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="model error"):
+        explore(GcProbe(5, fail_at_apply=3))
+    assert gc.isenabled()
+
+
+def test_explore_leaves_a_disabled_collector_disabled(collector_enabled):
+    gc.disable()
+    model = GcProbe(3)
+    explore(model)
+    assert model.collector_enabled == [False] * 4
+    assert not gc.isenabled()

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from actorcover import canon
@@ -264,12 +267,33 @@ def test_replicas_bound_enforced():
         VrBounds(replicas=4)
 
 
+# sha256 of the violations (index, name, detail) and the counterexample
+# (action key, state index) that explore reported on the bug below, taken
+# before the invariants were memoized; lines joined as in ``digest_lines``.
+QUORUM_BUG_VIOLATIONS = "37fac7b07dc83464722c0cf1b8d5229c7ea3a185abded76fd4090533b6c10e91"
+QUORUM_BUG_COUNTEREXAMPLE = "6012bec36d60a7b3fbecaa97f0495cf684b6b6907fca0d08f00e96e44abb4cb6"
+
+
+def digest_lines(rows) -> str:
+    text = "\n".join("\t".join(map(str, row)) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_commit_without_quorum_bug_is_caught_by_invariant():
     model = VrModel(VrBounds(3, 2, 1), commit_without_quorum=True)
     result = explore(model, max_states=400_000)
     names = {v.name for v in result.violations}
     assert "PrefixLogConsistency" in names
     assert result.counterexample is not None
+    assert len(result.violations) == 4
+    assert (
+        digest_lines((v.state_index, v.name, v.detail) for v in result.violations)
+        == QUORUM_BUG_VIOLATIONS
+    )
+    assert (
+        digest_lines((action.key(), index) for action, index in result.counterexample)
+        == QUORUM_BUG_COUNTEREXAMPLE
+    )
     # The counterexample replays from the initial state to the bad state.
     state = model.initial_state()
     for action, _dest in result.counterexample:
@@ -277,3 +301,70 @@ def test_commit_without_quorum_bug_is_caught_by_invariant():
     violation = result.violations[0]
     assert violation.state_index == result.counterexample[-1][1]
     assert model._check_prefix_consistency(state) is not None
+
+
+def test_type_bounds_verdicts_are_kept_per_actors_and_globals():
+    # Equal actors, different globals: each state gets its own verdict, in
+    # either order, from one invariant list (one memo).
+    model = VrModel(VrBounds(3, 1, 1))
+    within = model.initial_state()
+    beyond = ModelState(
+        actors=within.actors,
+        alive=within.alive,
+        globals_=canon.Record(queriesCount=2),
+        events=within.events,
+    )
+    for order in ([within, beyond], [beyond, within]):
+        checks = {inv.name: inv.check for inv in model.invariants()}
+        verdicts = {id(state): checks["TypeBounds"](state) for state in order}
+        assert verdicts[id(within)] is None
+        assert verdicts[id(beyond)] == "queriesCount beyond bound"
+        assert checks["PrefixLogConsistency"](beyond) is None
+
+
+def test_memoized_invariants_agree_with_the_checks_on_every_state(vr_graph):
+    model, graph = vr_graph
+    checks = {inv.name: inv.check for inv in model.invariants()}
+    for state in graph.states:
+        assert checks["PrefixLogConsistency"](state) == model._check_prefix_consistency(state)
+        assert checks["TypeBounds"](state) == model._check_type_bounds(state)
+
+
+def test_step_values_of_equal_text_are_one_object():
+    model = VrModel(VrBounds(3, 1, 1))
+    first = model._intern(canon.Record(view=0, op=1))
+    assert model._intern(canon.Record(op=1, view=0)) is first
+    event = model._intern(Event("Commit", {"view": 0, "commit": 1}, 0, 1))
+    assert model._intern(Event("Commit", {"commit": 1, "view": 0}, 0, 1)) is event
+    # Equal but written differently: two objects, each with its own text.
+    one = model._intern(canon.Record(a=1))
+    true = model._intern(canon.Record(a=True))
+    assert one == true and one is not true
+    assert (canon.dumps(one), canon.dumps(true)) == ('{"a":1}', '{"a":true}')
+    assert model._intern(canon.Record(a=True)) is true
+
+
+def test_explored_states_share_one_object_per_record_and_event(vr_graph):
+    _model, graph = vr_graph
+    records, events = {}, {}
+    for state in graph.states:
+        for rec in state.actors:
+            assert records.setdefault(canon.dumps(rec), rec) is rec
+        for event in state.events:
+            assert events.setdefault(event.key(), event) is event
+    assert len(records) < len(graph.states)
+
+
+def test_enabled_actions_reuse_one_action_per_event_in_sort_token_order(vr_graph):
+    model, graph = vr_graph
+    shuffle = random.Random(5).shuffle
+    seen = {}
+    for state in graph.states:
+        actions = model.enabled_actions(state)
+        for action in actions:
+            assert seen.setdefault((action.kind, action.event.key()), action) is action
+        fresh = [Action(a.kind, event=Event(**a.event.to_value())) for a in actions]
+        shuffle(fresh)
+        fresh.sort(key=Action.sort_token)
+        assert [a.key() for a in fresh] == [a.key() for a in actions]
+    assert {(e.action.kind, e.action.event.key()) for e in graph.edges} == seen.keys()
