@@ -9,6 +9,13 @@ from actorcover.tsg import min_suite
 VR_BOUNDS = VrBounds(replicas=2, max_queries=1, max_views=1)
 KV_BOUNDS = KvBounds(actors=3, max_sets=1)
 
+# The benchmark's two explored bounds (vr-deep and kv-wide).
+BENCH_MODELS = {
+    "vr-r2-q2-v1": lambda: VrModel(VrBounds(replicas=2, max_queries=2, max_views=1)),
+    "kv-a3-s2-crash-drop": lambda: KvModel(
+        KvBounds(actors=3, max_sets=2, allow_crash=True, allow_drop=True)),
+}
+
 
 def _suite_file(tmp_path, model, graph, suite):
     graph_path = tmp_path / f"{model.name}.graph"
@@ -56,3 +63,17 @@ def kv_min_suite(kv_graph, tmp_path_factory):
 @pytest.fixture(scope="session")
 def kv_factory():
     return lambda: kv_emulator(KV_BOUNDS)
+
+
+@pytest.fixture(scope="session")
+def bench_graph():
+    """Explore a benchmark bound once per session: name -> (model, graph)."""
+    explored = {}
+
+    def get(name):
+        if name not in explored:
+            model = BENCH_MODELS[name]()
+            explored[name] = model, explore(model).graph
+        return explored[name]
+
+    return get

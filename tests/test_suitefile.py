@@ -7,7 +7,7 @@ reject a damaged graph at the same line.
 
 import pytest
 
-from actorcover.explore import Edge, TransitionGraph, explore
+from actorcover.explore import Edge, TransitionGraph
 from actorcover.suitefile import (
     MalformedInputError,
     read_cover_graph,
@@ -15,23 +15,14 @@ from actorcover.suitefile import (
     read_header,
     write_graph_file,
 )
-from actorcover.systems.kv import KvBounds, KvModel
-from actorcover.systems.vr import VrBounds, VrModel
-
-# The benchmark's two explored bounds (vr-deep and kv-wide).
-BENCH_MODELS = {
-    "vr-r2-q2-v1": lambda: VrModel(VrBounds(replicas=2, max_queries=2, max_views=1)),
-    "kv-a3-s2-crash-drop": lambda: KvModel(
-        KvBounds(actors=3, max_sets=2, allow_crash=True, allow_drop=True)),
-}
+from conftest import BENCH_MODELS
 
 
 @pytest.fixture(scope="module", params=["vr", "kv", *sorted(BENCH_MODELS)])
 def graph_file(request, tmp_path_factory):
     """A written graph file of the conftest vr and kv bounds and of the bench bounds."""
     if request.param in BENCH_MODELS:
-        model = BENCH_MODELS[request.param]()
-        graph = explore(model).graph
+        model, graph = request.getfixturevalue("bench_graph")(request.param)
     else:
         model, graph = request.getfixturevalue(f"{request.param}_graph")
     path = tmp_path_factory.mktemp(request.param) / "graph.ac1"

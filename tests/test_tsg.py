@@ -17,6 +17,7 @@ from actorcover.tsg import (
     random_cover_graph,
     verify_coverage,
 )
+from conftest import BENCH_MODELS
 from oracles import min_total_cover_length
 
 CHAIN = CoverGraph(3, [(1, 2), (2, 3)])
@@ -238,3 +239,33 @@ def test_suites_are_pinned_path_for_path(request, graph_name, algorithm):
     else:
         _update(digest, generate(_cover(request.getfixturevalue(f"{graph_name}_graph"))))
     assert digest.hexdigest() == SUITE_DIGESTS[graph_name, algorithm]
+
+
+# sha256 of the 200 random min suites' total lengths, one decimal per line,
+# taken with the successive-shortest-path solver: no min suite may get longer.
+RANDOM_MIN_LENGTHS_DIGEST = "0b7f00963af5b9e7bff438f8e4e91b70abd11003a0dcbd335eb2e4a369e3b4e2"
+
+
+def test_random_min_suite_lengths_are_pinned():
+    rng = random.Random(2512)
+    lengths = "".join(
+        f"{min_suite(random_cover_graph(rng, 12, 30)).total_length}\n" for _ in range(200))
+    assert hashlib.sha256(lengths.encode("ascii")).hexdigest() == RANDOM_MIN_LENGTHS_DIGEST
+
+
+# sha256 of the min suites' paths for the benchmark's explored bounds, in the
+# format of SUITE_DIGESTS, taken with the successive-shortest-path solver.
+BENCH_MIN_DIGESTS = {
+    "vr-r2-q2-v1": "ed9ba59f4b61457ca66968eeabe423add6205bb790107e11e094fbc2cfd5fb80",
+    "kv-a3-s2-crash-drop": "f51604c0f59e275edf8998ec0e2bae927d98ab5c5cc0fac470038cc2cbe3f4cf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_MODELS))
+def test_bench_min_suites_are_pinned_and_equal_their_flow_suites(bench_graph, name):
+    cover = bench_graph(name)[1].cover_graph()
+    suite = min_suite(cover)
+    assert suite.paths == flow_suite(cover).paths
+    digest = hashlib.sha256()
+    _update(digest, suite)
+    assert digest.hexdigest() == BENCH_MIN_DIGESTS[name]
