@@ -90,16 +90,17 @@ class Verdict:
     def passed(self) -> bool:
         return self.status == PASS
 
+    def to_value(self) -> dict:
+        """The verdict's record, as ``to_json`` and a run report write it."""
+        return {
+            "path": self.path_id,
+            "status": self.status,
+            "failing_step": self.failing_step,
+            "detail": self.detail,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "path": self.path_id,
-                "status": self.status,
-                "failing_step": self.failing_step,
-                "detail": self.detail,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_value(), sort_keys=True)
 
 
 @dataclass
@@ -119,15 +120,7 @@ class RunReport:
         return json.dumps(
             {
                 "totals": self.totals,
-                "verdicts": [
-                    {
-                        "path": v.path_id,
-                        "status": v.status,
-                        "failing_step": v.failing_step,
-                        "detail": v.detail,
-                    }
-                    for v in self.verdicts
-                ],
+                "verdicts": [v.to_value() for v in self.verdicts],
                 "replay_logs": self.replay_logs,
             },
             sort_keys=True,

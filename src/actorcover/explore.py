@@ -120,10 +120,10 @@ def explore(model: Model, max_states: int = DEFAULT_STATE_CAP) -> ExploreResult:
     its previous state restored however explore ends.  Explore keeps
     everything it allocates, so a collection here can free nothing, yet
     each full one rescans the whole graph built so far (9 of them on vr
-    r3 q1 v1).  There is no ``gc.freeze()`` afterwards: a model holds
-    bound methods of itself, so it sits in a reference cycle, and a freeze
-    would keep every model and its step memos alive for the rest of the
-    process.
+    r3 q1 v1).  There is no ``gc.freeze()`` afterwards: it would move
+    every object then alive, the caller's too, out of the collector's
+    reach for the rest of the process, so any of them that later became
+    cyclic garbage would never be freed.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -1,14 +1,16 @@
-"""Integer flow solvers used by the suite generators.
+"""Integer flow solver used by the suite generators.
 
-``FlowNetwork`` is a residual-edge-pair network over 0-based vertices,
-solved either by Dinic's algorithm (``max_flow``) or by successive
-shortest augmenting paths with vertex potentials (``min_cost_max_flow``;
-costs must be non-negative, which holds for the 0/1 costs used here).
-Both push flow through one Dinic blocking-flow routine
-(``_blocking_flow``); they differ only in which residual arcs it may use:
-any arc with capacity left, or only arcs of zero reduced cost.
+``FlowNetwork`` is a residual-edge-pair network over 0-based vertices.
+``max_flow`` is Dinic's algorithm: one blocking flow (``_blocking_flow``)
+per BFS level graph of the arcs with capacity left.
+``cancel_negative_cycles`` lowers the cost of the network's flow without
+changing any vertex's balance: it pushes flow around a negative-cost
+residual cycle until none is left (Klein 1967), which is exactly the
+condition for a flow to have minimum cost among flows of its value.
+
 ``solve_circulation`` handles per-edge lower bounds through the standard
-super-source / super-sink transformation.
+super-source / super-sink transformation, and for a minimum-cost
+circulation cancels the cycles of the feasible flow Dinic found.
 
 All arithmetic is exact; all tie-breaking follows ascending edge insertion
 order, so results are deterministic functions of the build sequence.
@@ -16,6 +18,7 @@ order, so results are deterministic functions of the build sequence.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -57,83 +60,69 @@ class FlowNetwork:
         """Dinic: one blocking flow per BFS level graph of the residual arcs."""
         if s == t:
             raise ValueError("source equals sink")
-        cap = self.cap
         total = 0
-        while True:
-            pushed = self._blocking_flow(s, t, lambda u, arc: cap[arc] > 0)
-            if pushed == 0:
-                return total
+        while pushed := self._blocking_flow(s, t):
             total += pushed
+        return total
 
-    def min_cost_max_flow(self, s: int, t: int) -> tuple[int, int]:
-        """Successive shortest paths with potentials; returns (flow, cost).
+    def cancel_negative_cycles(self) -> None:
+        """Push flow around negative-cost residual cycles until none is left.
 
-        Requires non-negative arc costs, which keeps reduced costs valid.
-        Each phase runs one shortest-path pass to update the potentials,
-        then saturates every shortest augmenting path at once with a
-        blocking flow over the zero-reduced-cost arcs; the phase count is
-        bounded by the largest s-t path cost, which for the 0/1 costs used
-        by the suite generators is the graph diameter plus two.  The
-        returned cost is that of the network's final flow, summed over
-        the forward arcs.
+        Each push saturates the cycle's bottleneck arc and leaves every
+        vertex's balance as it was.  It lowers the integer cost of the flow
+        by at least 1, and that cost is bounded below because capacities
+        are finite, so the loop ends, and it ends at a minimum-cost flow of
+        the same value: a flow has minimum cost among flows of its value
+        exactly when its residual network has no negative cycle.
         """
-        if any(c < 0 for c in self.cost[::2]):
-            raise ValueError("negative arc costs are not supported")
         cap = self.cap
-        cost = self.cost
-        head = self.head
-        potential = [0] * self.n
+        while cycle := self._negative_cycle():
+            bottleneck = min(cap[a] for a in cycle)
+            for a in cycle:
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
 
-        def admissible(u: int, arc: int) -> bool:
-            return cap[arc] > 0 and cost[arc] + potential[u] - potential[head[arc]] == 0
+    def _negative_cycle(self) -> list[int]:
+        """Arcs of one negative-cost residual cycle, or [] when none exists.
 
-        total_flow = 0
-        while True:
-            dist = self._reduced_dijkstra(s, potential)
-            if dist[t] is None:
-                break
-            for v in range(self.n):
-                if dist[v] is not None:
-                    potential[v] += dist[v]
-            total_flow += self._blocking_flow(s, t, admissible)
-        total_cost = sum(cost[a] * self.flow_of(a) for a in range(0, len(head), 2))
-        return total_flow, total_cost
-
-    def _reduced_dijkstra(self, s: int, potential: list[int]) -> list[int | None]:
-        """Distances under reduced costs; bucket queue (costs are small ints)."""
-        dist: list[int | None] = [None] * self.n
-        dist[s] = 0
-        buckets: dict[int, list[int]] = {0: [s]}
-        pending = 1
-        d = 0
-        cap = self.cap
-        cost = self.cost
-        head = self.head
-        adj = self.adj
-        while pending:
-            bucket = buckets.get(d)
-            if not bucket:
-                buckets.pop(d, None)
-                d += 1
-                continue
-            u = bucket.pop()
-            pending -= 1
-            if dist[u] != d:
-                continue  # stale entry
-            pot_u = potential[u]
+        Queue-based Bellman-Ford (SPFA) from every vertex at distance 0,
+        scanning arcs in insertion order.  ``hops[v]`` counts the arcs of
+        the walk that last lowered ``v``; a walk of n arcs repeats a vertex
+        it lowered twice, so the graph has a negative cycle, and it is
+        taken from the predecessor chain, where every cycle is negative.
+        """
+        n, cap, cost, head, adj = self.n, self.cap, self.cost, self.head, self.adj
+        dist = [0] * n
+        hops = [0] * n
+        pred = [-1] * n  # the arc that last lowered each vertex
+        queued = [True] * n
+        queue = deque(range(n))
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du, hu = dist[u], hops[u] + 1
             for arc in adj[u]:
-                if cap[arc] <= 0:
-                    continue
                 v = head[arc]
-                nd = d + cost[arc] + pot_u - potential[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    buckets.setdefault(nd, []).append(v)
-                    pending += 1
-        return dist
+                if cap[arc] > 0 and (dv := du + cost[arc]) < dist[v]:
+                    dist[v], hops[v], pred[v] = dv, hu, arc
+                    if hu >= n:
+                        w = v
+                        for _ in range(n):
+                            if pred[w] < 0:
+                                break  # the chain ends: no cycle on it yet
+                            w = head[pred[w] ^ 1]
+                        else:  # n steps back along a chain land on its cycle
+                            cycle = [pred[w]]
+                            while head[cycle[-1] ^ 1] != w:
+                                cycle.append(pred[head[cycle[-1] ^ 1]])
+                            return cycle
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        return []
 
-    def _blocking_flow(self, s: int, t: int, admissible) -> int:
-        """One Dinic phase over the arcs that ``admissible(u, arc)`` accepts.
+    def _blocking_flow(self, s: int, t: int) -> int:
+        """One Dinic phase over the arcs with capacity left.
 
         Builds BFS levels from ``s``, then pushes augmenting paths along
         arcs that climb one level, visiting each vertex's arcs in insertion
@@ -150,7 +139,7 @@ class FlowNetwork:
             for u in frontier:
                 for arc in adj[u]:
                     v = head[arc]
-                    if level[v] < 0 and admissible(u, arc):
+                    if level[v] < 0 and cap[arc] > 0:
                         level[v] = level[u] + 1
                         nxt.append(v)
             frontier = nxt
@@ -174,7 +163,7 @@ class FlowNetwork:
             while it[u] < len(adj[u]):
                 arc = adj[u][it[u]]
                 v = head[arc]
-                if level[v] == level[u] + 1 and admissible(u, arc):
+                if level[v] == level[u] + 1 and cap[arc] > 0:
                     path.append(arc)
                     u = v
                     advanced = True
@@ -210,10 +199,12 @@ def solve_circulation(n: int, edges: list[BoundedEdge], minimize_cost: bool = Fa
     Lower bounds are shifted out in the usual way: edge e carries
     cap(e)-lower(e) in a helper network, vertex demands d(v) = sum of
     incoming lower bounds minus outgoing ones are wired to a super source
-    and sink, and the helper max-flow must saturate all demands.  With
-    ``minimize_cost`` the helper flow is solved min-cost, which minimizes
-    sum(cost(e) * flow(e)) overall since the mandatory lower-bound units
-    contribute a constant.
+    and sink, and the helper max-flow (Dinic) must saturate all demands.
+    With ``minimize_cost`` the helper flow's negative residual cycles are
+    then cancelled, which minimizes sum(cost(e) * flow(e)) overall since
+    the mandatory lower-bound units contribute a constant.  Costs may be
+    negative.  The saturated super-source and super-sink arcs lie on no
+    residual cycle, so cancelling keeps every lower bound.
     """
     net = FlowNetwork(n + 2)
     super_s, super_t = n, n + 1
@@ -230,10 +221,9 @@ def solve_circulation(n: int, edges: list[BoundedEdge], minimize_cost: bool = Fa
             need += demand[v]
         elif demand[v] < 0:
             net.add_edge(v, super_t, -demand[v], 0)
-    if minimize_cost:
-        pushed, _cost = net.min_cost_max_flow(super_s, super_t)
-    else:
-        pushed = net.max_flow(super_s, super_t)
+    pushed = net.max_flow(super_s, super_t)
     if pushed != need:
         raise InfeasibleCirculationError(f"lower bounds need {need} units, routed {pushed}")
+    if minimize_cost:
+        net.cancel_negative_cycles()
     return [e.lower + net.flow_of(a) for e, a in zip(edges, arcs)]

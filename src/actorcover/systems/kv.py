@@ -90,14 +90,6 @@ class KvModel(Model):
 
     def __init__(self, bounds: KvBounds):
         self.bounds = bounds
-        self._handlers = {
-            INJECT: self._apply_inject,
-            DELIVER: self._apply_deliver,
-            DROP: self._apply_drop,
-            CORRUPT: self._apply_corrupt,
-            CRASH: self._apply_crash,
-            RESTART: self._apply_restart,
-        }
 
     def bounds_value(self) -> canon.Record:
         return self.bounds.to_value()
@@ -144,10 +136,10 @@ class KvModel(Model):
         return actions
 
     def apply(self, state: ModelState, action: Action) -> ModelState:
-        handler = self._handlers.get(action.kind)
+        handler = self._HANDLERS.get(action.kind)
         if handler is None:
             raise GuardViolationError(f"action kind {action.kind!r} not part of this model")
-        return handler(state, action)
+        return handler(self, state, action)
 
     def _apply_inject(self, state: ModelState, action: Action) -> ModelState:
         event = action.event
@@ -252,6 +244,17 @@ class KvModel(Model):
         alive = list(state.alive)
         alive[target] = True
         return ModelState(state.actors, tuple(alive), state.globals_, state.events)
+
+    # Plain functions, called with the model: a table of bound methods on
+    # the instance would put every model in a reference cycle.
+    _HANDLERS = {
+        INJECT: _apply_inject,
+        DELIVER: _apply_deliver,
+        DROP: _apply_drop,
+        CORRUPT: _apply_corrupt,
+        CRASH: _apply_crash,
+        RESTART: _apply_restart,
+    }
 
     def bounds_exhausted(self, state: ModelState) -> bool:
         return (

@@ -132,17 +132,6 @@ class VrModel(Model):
         # Deliberate-bug switch used to regression-test invariant checking:
         # the master commits fresh entries at append time, unreplicated.
         self.commit_without_quorum = commit_without_quorum
-        self._handlers = {
-            REQUEST: self._on_request,
-            PREPARE: self._on_prepare,
-            PREPARE_OK: self._on_prepare_ok,
-            COMMIT: self._on_commit,
-            START_VIEW_CHANGE: self._on_start_view_change,
-            DO_VIEW_CHANGE: self._on_do_view_change,
-            START_VIEW: self._on_start_view,
-            CATCHUP_QUERY: self._on_catchup_query,
-            CATCHUP_REPLY: self._on_catchup_reply,
-        }
         # Actor-local step memo, keyed on (destination record, event): the
         # delivery guard's verdict, and the handler's (record, emissions).
         # Sound because the guard and the handlers read only the
@@ -353,7 +342,7 @@ class VrModel(Model):
         key = (state.actors[event.destination], event)
         step = self._deliver_memo.get(key)
         if step is None:
-            rec, emitted = self._handlers[event.kind](dict(key[0]), event)
+            rec, emitted = self._HANDLERS[event.kind](self, dict(key[0]), event)
             step = (self._intern(canon.Record(rec)), tuple(map(self._intern, emitted)))
             self._deliver_memo[key] = step
         rec, emitted = step
@@ -558,6 +547,21 @@ class VrModel(Model):
             ack = {"view": view, "pos": len(rec["log"])}
             return rec, [Event(PREPARE_OK, ack, replica, self._master(view))]
         return rec, []
+
+    # Plain functions, called with the model: a table of bound methods on
+    # the instance would keep every model (and its memos) in a reference
+    # cycle that only the cyclic collector frees.
+    _HANDLERS = {
+        REQUEST: _on_request,
+        PREPARE: _on_prepare,
+        PREPARE_OK: _on_prepare_ok,
+        COMMIT: _on_commit,
+        START_VIEW_CHANGE: _on_start_view_change,
+        DO_VIEW_CHANGE: _on_do_view_change,
+        START_VIEW: _on_start_view,
+        CATCHUP_QUERY: _on_catchup_query,
+        CATCHUP_REPLY: _on_catchup_reply,
+    }
 
     # ------------------------------------------------------------------
     # Safety and progress checks

@@ -14,7 +14,9 @@ of root-anchored paths that together traverse every edge at least once:
 ``min_suite``
     the same reduction solved as a minimum-cost circulation (original
     edges cost 1, return edges cost 0), which makes the summed path
-    length minimal among all edge-covering suites.
+    length minimal among all edge-covering suites: the flow suite's
+    circulation with its negative residual cycles cancelled, so the two
+    suites are equal wherever that circulation is already minimal.
 
 Vertices are 1-based and the source is always vertex 1 (``SOURCE``), the
 initial state of an explored graph; edges are identified by their 0-based
@@ -173,6 +175,15 @@ def euler_circuit(n: int, edges: list[tuple[int, int]], start: int) -> list[int]
 
 
 def _circulation_suite(graph: CoverGraph, minimize_cost: bool) -> TestSuite:
+    """Split an Euler circuit of a covering circulation at its return edges.
+
+    Every edge must carry at least one unit, and every vertex may send
+    flow back to the source at no cost.  ``solve_circulation`` finds such
+    a circulation by one Dinic max flow; with ``minimize_cost`` it then
+    cancels negative residual cycles until none is left.  A circulation's
+    cost is its number of original-edge traversals, which is the suite's
+    total length, so every cancel shortens the suite by at least one step.
+    """
     _bfs(graph)  # rejects unreachable vertices
     m = len(graph.edges)
     if m == 0:
@@ -220,7 +231,12 @@ def flow_suite(graph: CoverGraph) -> TestSuite:
 
 
 def min_suite(graph: CoverGraph) -> TestSuite:
-    """Edge-covering suite of minimum total length."""
+    """Edge-covering suite of minimum total length.
+
+    The flow suite's circulation with every negative residual cycle
+    cancelled (Klein's optimality test), so it equals ``flow_suite``
+    wherever that circulation already has minimum cost.
+    """
     return _circulation_suite(graph, minimize_cost=True)
 
 

@@ -7,6 +7,7 @@ production code, so agreement is meaningful.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from collections import deque
 from collections.abc import Mapping
@@ -42,23 +43,32 @@ def ford_fulkerson_unit(n: int, edges: list[tuple[int, int, int]], s: int, t: in
         total += 1
 
 
-def feasible_circulation_exists(n: int, edges: list[tuple[int, int, int, int]]) -> bool:
-    """Brute force over all integer flow assignments within bounds."""
-
-    def ok(flows):
+def _circulations(n: int, edges: list[tuple[int, int, int, int]]):
+    """Every integer flow assignment within bounds that conserves flow."""
+    for flows in itertools.product(*(range(lo, hi + 1) for _u, _v, lo, hi in edges)):
         balance = [0] * n
         for (u, v, _lo, _hi), f in zip(edges, flows):
             balance[u] -= f
             balance[v] += f
-        return all(b == 0 for b in balance)
+        if not any(balance):
+            yield flows
 
-    def rec(i, flows):
-        if i == len(edges):
-            return ok(flows)
-        _u, _v, lo, hi = edges[i]
-        return any(rec(i + 1, flows + [f]) for f in range(lo, hi + 1))
 
-    return rec(0, [])
+def feasible_circulation_exists(n: int, edges: list[tuple[int, int, int, int]]) -> bool:
+    """Brute force over all integer flow assignments within bounds."""
+    return next(_circulations(n, edges), None) is not None
+
+
+def min_circulation_cost(n: int, edges: list[tuple[int, int, int, int, int]]) -> int | None:
+    """Least sum(cost * flow) over all integer circulations within
+    (source, destination, lower, cap, cost) bounds, by brute force; None
+    when there is none."""
+    costs = [cost for *_bounds, cost in edges]
+    return min(
+        (sum(c * f for c, f in zip(costs, flows))
+         for flows in _circulations(n, [bounds for *bounds, _cost in edges])),
+        default=None,
+    )
 
 
 def min_total_cover_length(n: int, edges: list[tuple[int, int]], source: int) -> int | None:

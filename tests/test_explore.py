@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -21,6 +22,7 @@ from actorcover.model import (
 from actorcover.suitefile import read_graph_file, write_graph_file
 from actorcover.systems.kv import KvBounds, KvModel
 from actorcover.systems.vr import VrBounds, VrModel
+from conftest import KV_BOUNDS, VR_BOUNDS
 
 
 class CounterModel(Model):
@@ -332,3 +334,14 @@ def test_explore_leaves_a_disabled_collector_disabled(collector_enabled):
     explore(model)
     assert model.collector_enabled == [False] * 4
     assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("make_model", [lambda: VrModel(VR_BOUNDS), lambda: KvModel(KV_BOUNDS)],
+                         ids=["vr", "kv"])
+def test_a_dropped_model_dies_without_the_collector(collector_enabled, make_model):
+    gc.disable()
+    model = make_model()
+    explore(model)
+    dropped = weakref.ref(model)
+    del model
+    assert dropped() is None

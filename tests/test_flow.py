@@ -8,7 +8,7 @@ from actorcover.flow import (
     InfeasibleCirculationError,
     solve_circulation,
 )
-from oracles import feasible_circulation_exists, ford_fulkerson_unit
+from oracles import feasible_circulation_exists, ford_fulkerson_unit, min_circulation_cost
 
 
 def test_single_edge():
@@ -58,37 +58,6 @@ def test_max_flow_matches_unit_augmentation_oracle():
         got = net.max_flow(s, t)
         want = ford_fulkerson_unit(n, edges, s, t)
         assert got == want, f"trial {trial}: {edges}"
-
-
-def test_min_cost_flow_prefers_cheap_route():
-    net = FlowNetwork(4)
-    cheap1 = net.add_edge(0, 1, 1, cost=0)
-    cheap2 = net.add_edge(1, 3, 1, cost=0)
-    net.add_edge(0, 2, 1, cost=5)
-    net.add_edge(2, 3, 1, cost=5)
-    flow, cost = net.min_cost_max_flow(0, 3)
-    assert flow == 2 and cost == 10
-    assert net.flow_of(cheap1) == 1 and net.flow_of(cheap2) == 1
-
-
-def test_min_cost_flow_value_equals_max_flow():
-    rng = random.Random(99)
-    for _ in range(200):
-        n, edges = random_network(rng)
-        plain = FlowNetwork(n)
-        costed = FlowNetwork(n)
-        for u, v, c in edges:
-            plain.add_edge(u, v, c)
-            costed.add_edge(u, v, c, cost=rng.randint(0, 3))
-        flow, _cost = costed.min_cost_max_flow(0, n - 1)
-        assert flow == plain.max_flow(0, n - 1)
-
-
-def test_negative_costs_rejected():
-    net = FlowNetwork(2)
-    net.add_edge(0, 1, 1, cost=-1)
-    with pytest.raises(ValueError):
-        net.min_cost_max_flow(0, 1)
 
 
 def test_forced_two_cycle_circulation():
@@ -159,6 +128,46 @@ def test_min_cost_circulation_is_cheaper_or_equal():
         plain = solve_circulation(n, bounded, minimize_cost=False)
         _check_circulation(n, bounded, cheap)
         _check_circulation(n, bounded, plain)
-        cost = sum(e.cost * f for e, f in zip(bounded, cheap))
-        cost_plain = sum(e.cost * f for e, f in zip(bounded, plain))
-        assert cost <= cost_plain
+        assert _cost(bounded, cheap) <= _cost(bounded, plain)
+
+
+def _cost(bounded, flows):
+    return sum(e.cost * f for e, f in zip(bounded, flows))
+
+
+def test_min_cost_circulation_matches_exhaustive_oracle():
+    rng = random.Random(1967)
+    feasible = 0
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        raw = []
+        for _ in range(rng.randint(1, 6)):
+            lo = rng.randint(0, 1)
+            raw.append((rng.randint(0, n - 1), rng.randint(0, n - 1), lo,
+                        lo + rng.randint(0, 2), rng.randint(-2, 3)))
+        oracle = min_circulation_cost(n, raw)
+        bounded = [BoundedEdge(*edge) for edge in raw]
+        try:
+            flows = solve_circulation(n, bounded, minimize_cost=True)
+        except InfeasibleCirculationError:
+            assert oracle is None, f"trial {trial}: {raw}"
+            continue
+        _check_circulation(n, bounded, flows)
+        assert _cost(bounded, flows) == oracle, f"trial {trial}: {raw}"
+        feasible += 1
+    assert feasible >= 100
+
+
+@pytest.mark.parametrize("bounded, plain_cost, min_cost", [
+    # One unit must go 1 -> 0: Dinic takes the first return arc, the dear one.
+    ([BoundedEdge(0, 1, 1, 1), BoundedEdge(1, 0, 0, 1, 5), BoundedEdge(1, 0, 0, 1)], 5, 0),
+    # No lower bound at all: Dinic routes nothing round the negative triangle.
+    ([BoundedEdge(0, 1, 0, 2, -1), BoundedEdge(1, 2, 0, 3, -1), BoundedEdge(2, 0, 0, 2, 1)], 0, -2),
+], ids=["dear-return-arc", "negative-triangle"])
+def test_cancelling_lowers_the_cost_of_the_dinic_circulation(bounded, plain_cost, min_cost):
+    n = 1 + max(max(e.source, e.destination) for e in bounded)
+    plain = solve_circulation(n, bounded)
+    cheap = solve_circulation(n, bounded, minimize_cost=True)
+    _check_circulation(n, bounded, cheap)
+    assert _cost(bounded, plain) == plain_cost
+    assert _cost(bounded, cheap) == min_cost

@@ -201,7 +201,11 @@ def test_self_loops_and_edges_into_source_are_covered():
 # sha256 of each generator's edge-id paths, one "id id ...\n" line per path,
 # as produced before the two Dinic blocking-flow copies in ``flow`` were
 # merged.  The vr graph is the conftest one (310 states); the random graphs
-# are where the flow suite and the min suite differ (66 of 200 here).
+# are where the flow suite and the min suite differ (66 of 200 here).  The
+# random min digest was re-taken when min suites became the Dinic flow with
+# its negative cycles cancelled: on 16 of the 200 graphs that flow differs
+# from the one successive shortest paths gave, at the same total length
+# (RANDOM_MIN_LENGTHS_DIGEST below).
 SUITE_DIGESTS = {
     ("vr", "baseline"): "d736b30fdd61bb400957661b77689c648e820e59ac91e50c1fcb539409307222",
     ("vr", "flow"): "1ec09d789fdee90cc102c2d0d7077604d3f54c1f5b9fd686333e354e78f28bc0",
@@ -211,7 +215,7 @@ SUITE_DIGESTS = {
     ("kv", "min"): "1237d6a747595a0a7bbb2e6e1d6bc7a444dea50bd381116a2757c232ac19304a",
     ("random", "baseline"): "23372cc5e9da02cdd6e732876e5d10eabcdf982cebd0dbd5aaa0979af30b267a",
     ("random", "flow"): "9b117d463c969f8e08ab96634bd1283993de41444f337e3e8953f659ebd31881",
-    ("random", "min"): "cb27e4d896b01f5e23d8ef1853167ff713b97f6fda6c59218cb2d6f216379e2a",
+    ("random", "min"): "549bedb5a3bacbd31aef5af10990c8128d0839a58ea249a986ba0a4a8415f8c5",
 }
 GENERATORS = {"baseline": baseline_suite, "flow": flow_suite, "min": min_suite}
 
