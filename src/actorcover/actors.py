@@ -15,6 +15,7 @@ lists every dropped event explicitly, which keeps replays exact.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -243,6 +244,14 @@ class Actor(ABC):
     volatile part (reset by ``reset_volatile``).  ``on_event`` may mutate
     only the actor's own state; every other effect must be returned as an
     OperationRequest.
+
+    ``save`` returns an independent copy of the actor's whole state and
+    ``restore`` puts such a copy back without aliasing it, so one save can
+    be restored any number of times, whatever ran in between (including a
+    handler that mutated and then raised).  The default deep-copies
+    ``__dict__``, which is always faithful but slow; override both when
+    the state's mutable parts are known, copying just those and sharing
+    the immutable rest.
     """
 
     def __init__(self, actor_id: int, system_size: int):
@@ -259,6 +268,15 @@ class Actor(ABC):
 
     def reset_volatile(self) -> None:
         """Crash hook: restore the volatile part to its initial value."""
+
+    def save(self):
+        """An independent copy of this actor's state, for ``restore``."""
+        return copy.deepcopy(self.__dict__)
+
+    def restore(self, saved) -> None:
+        """Put back the state ``saved`` holds; ``saved`` stays unchanged."""
+        self.__dict__.clear()
+        self.__dict__.update(copy.deepcopy(saved))
 
 
 class EventStore:
@@ -292,6 +310,12 @@ class EventStore:
     def image(self) -> frozenset[Event]:
         """Set projection of the multiset."""
         return frozenset(self._counts.keys())
+
+    def copy(self) -> "EventStore":
+        """An independent store holding the same events."""
+        out = EventStore()
+        out._counts = self._counts.copy()
+        return out
 
 
 @dataclass
@@ -329,6 +353,25 @@ class Emulator:
             alive=tuple(self.alive),
             events=self.store.image(),
         )
+
+    def save(self):
+        """The whole emulated state (unlike ``snapshot``, the model's
+        projection of it), for ``restore``."""
+        return (
+            [actor.save() for actor in self.actors],
+            tuple(self.alive),
+            self.store.copy(),
+            tuple(self._images),
+        )
+
+    def restore(self, saved) -> None:
+        """Return to a ``save``; the same save can be restored again later."""
+        actors, alive, store, images = saved
+        for actor, state in zip(self.actors, actors):
+            actor.restore(state)
+        self.alive = list(alive)
+        self.store = store.copy()
+        self._images = list(images)
 
     def step(self, action: Action) -> SystemState:
         """Apply one action and return the resulting snapshot.

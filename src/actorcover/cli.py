@@ -222,7 +222,8 @@ def cmd_run(args) -> int:
     print(json.dumps(report.totals, sort_keys=True))
     print(
         f"{len(report.verdicts)} paths in {report.wall_time:.3f}s "
-        f"({report.replays_per_second:.0f} paths/s)"
+        f"({report.replays_per_second:.0f} paths/s); "
+        f"{report.steps_executed} of {sum(map(len, suite.paths))} steps executed"
     )
     for verdict in report.verdicts:
         if not verdict.passed:

@@ -1,12 +1,19 @@
 """Replay suite paths against an implementation with per-step state checks.
 
-For every path edge the runner applies the action to a fresh emulated
+For every path edge the runner applies the action to the emulated
 implementation, projects the implementation with the actors' to-model
 mappings and requires exact structural equality with the edge's
 destination state in the suite's graph: actor by actor, liveness flag by
 liveness flag, and the unprocessed-event set as a set.  The first
 mismatching step ends the path with a structured diff; other paths keep
 running.
+
+Paths that share a prefix share its execution: ``run_suite`` walks the
+paths in edge-id order on one emulator, saves the emulator's state where
+paths part and restores it before each later branch.  Emulator steps are
+deterministic and a restore puts back exactly the saved state (the
+``Actor.save``/``restore`` contract), so every path's verdict is the one
+its own actions give on a fresh implementation, as ``replay`` runs them.
 
 Every failure is written as a self-contained replay log (actions plus
 expected states, pinned to the suite's content hash) that reproduces the
@@ -110,6 +117,9 @@ class RunReport:
     wall_time: float
     replays_per_second: float
     replay_logs: list[str] = field(default_factory=list)
+    # Emulator steps the run executed; shared prefixes run once.  Not in
+    # ``to_json``: the report records verdicts, not how they were reached.
+    steps_executed: int = 0
 
     @property
     def all_passed(self) -> bool:
@@ -128,46 +138,85 @@ class RunReport:
         )
 
 
+def check_step(
+    emulator: Emulator, action: Action, expected: ModelState
+) -> tuple[str, str] | None:
+    """Apply one action and compare the result with the model's state.
+
+    None when the step conforms; otherwise the failure's status and detail.
+    """
+    try:
+        snapshot = emulator.step(action)
+    except IllegalActionError as exc:
+        return ILLEGAL_ACTION, str(exc)
+    except ActorFailure as exc:
+        return ACTOR_FAILURE, str(exc)
+    if (
+        snapshot.actors == expected.actors
+        and snapshot.alive == expected.alive
+        and snapshot.events == expected.events
+    ):
+        return None
+    diff = compare_states(snapshot, expected)
+    return (EVENTS_MISMATCH if diff.events_only else STATE_MISMATCH), diff.describe()
+
+
 def _execute(
     emulator: Emulator,
     steps: list[tuple[Action, ModelState]],
     path_id: int,
 ) -> Verdict:
     for step_index, (action, expected) in enumerate(steps, start=1):
-        try:
-            snapshot = emulator.step(action)
-        except IllegalActionError as exc:
-            return Verdict(path_id, ILLEGAL_ACTION, step_index, str(exc))
-        except ActorFailure as exc:
-            return Verdict(path_id, ACTOR_FAILURE, step_index, str(exc))
-        if (
-            snapshot.actors == expected.actors
-            and snapshot.alive == expected.alive
-            and snapshot.events == expected.events
-        ):
-            continue
-        diff = compare_states(snapshot, expected)
-        status = EVENTS_MISMATCH if diff.events_only else STATE_MISMATCH
-        return Verdict(path_id, status, step_index, diff.describe())
+        failure = check_step(emulator, action, expected)
+        if failure is not None:
+            return Verdict(path_id, failure[0], step_index, failure[1])
     return Verdict(path_id, PASS)
 
 
-def run_path(
-    emulator_factory: Callable[[], Emulator],
-    suite: SuiteFile,
-    path_id: int,
-    replay_dir: str | None = None,
-) -> Verdict:
-    """Execute one suite path on a fresh implementation instance."""
-    graph = suite.graph
-    steps = []
-    for eid in suite.paths[path_id]:
-        edge = graph.edges[eid]
-        steps.append((edge.action, graph.state(edge.destination)))
-    verdict = _execute(emulator_factory(), steps, path_id)
-    if not verdict.passed and replay_dir is not None:
-        write_replay_log(Path(replay_dir) / f"path_{path_id}.replay", suite, path_id)
-    return verdict
+def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], int]:
+    """Every path's verdict, in path-id order, and the steps executed.
+
+    Sorted by their edge-id lists, the paths that share a prefix form one
+    contiguous range, in which a path that ends with the prefix comes
+    first.  A stack entry ``(lo, hi, depth, saved)`` is such a range of
+    ``order`` for a prefix of ``depth`` edges, with the emulator's state
+    after that prefix (None: the emulator is in it already).  A failing
+    step ends every path of its range with the same verdict.
+    """
+    graph, paths = suite.graph, suite.paths
+    order = sorted(range(len(paths)), key=paths.__getitem__)
+    verdicts = [None] * len(paths)
+    executed = 0
+    stack = [(0, len(order), 0, None)]
+    while stack:
+        lo, hi, depth, saved = stack.pop()
+        if saved is not None:
+            emulator.restore(saved)
+        while lo < hi:
+            path = paths[order[lo]]
+            if len(path) == depth:
+                verdicts[order[lo]] = Verdict(order[lo], PASS)
+                lo += 1
+                continue
+            eid = path[depth]
+            end = lo + 1
+            while end < hi and paths[order[end]][depth] == eid:
+                end += 1
+            if end < hi:  # the paths part here: the later ones start from this state
+                if saved is None:
+                    saved = emulator.save()
+                stack.append((end, hi, depth, saved))
+            hi, saved = end, None
+            edge = graph.edges[eid]
+            executed += 1
+            depth += 1
+            failure = check_step(emulator, edge.action, graph.state(edge.destination))
+            if failure is not None:
+                status, detail = failure
+                for path_id in order[lo:hi]:
+                    verdicts[path_id] = Verdict(path_id, status, depth, detail)
+                break
+    return verdicts, executed
 
 
 def run_suite(
@@ -176,28 +225,34 @@ def run_suite(
     fail_fast: bool = False,
     replay_dir: str | None = None,
 ) -> RunReport:
-    """Run every path in path-id order, each on an isolated fresh instance.
+    """Run every path and report the verdicts in path-id order.
 
-    With ``fail_fast`` the run stops after the first failing path, so the
-    report ends with that path's verdict.
+    All paths run on one ``emulator_factory()`` instance and each shared
+    prefix runs once: the emulator's state is saved where paths part and
+    restored before each later branch.  Steps are deterministic and a
+    restore is exact, so each path gets the verdict of its own action
+    sequence applied to a fresh instance.
+
+    With ``fail_fast`` the report ends with the first failing path's
+    verdict, and only the reported failures get replay logs.
     """
     started = time.perf_counter()
-    verdicts = []
-    for path_id in range(len(suite.paths)):
-        verdicts.append(run_path(emulator_factory, suite, path_id, replay_dir))
-        if fail_fast and not verdicts[-1].passed:
-            break
+    verdicts, executed = _walk(emulator_factory(), suite)
+    if fail_fast:
+        first = next((i for i, v in enumerate(verdicts) if not v.passed), len(verdicts))
+        del verdicts[first + 1:]
+    logs = []
+    if replay_dir is not None:
+        for v in verdicts:
+            if not v.passed:
+                logs.append(str(Path(replay_dir) / f"path_{v.path_id}.replay"))
+                write_replay_log(logs[-1], suite, v.path_id)
     elapsed = time.perf_counter() - started
     totals = {status: 0 for status in STATUSES}
     for v in verdicts:
         totals[v.status] += 1
-    logs = [
-        str(Path(replay_dir) / f"path_{v.path_id}.replay")
-        for v in verdicts
-        if not v.passed and replay_dir is not None
-    ]
     rate = len(verdicts) / elapsed if elapsed > 0 else 0.0
-    return RunReport(totals, verdicts, elapsed, rate, logs)
+    return RunReport(totals, verdicts, elapsed, rate, logs, executed)
 
 
 def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:

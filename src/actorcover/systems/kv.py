@@ -286,6 +286,15 @@ class KvActor(Actor):
             return []  # fire-and-forget notification
         raise ValueError(f"unhandled event kind {event.kind!r}")
 
+    # The storage dict is the only mutable field; its keys and values are strings.
+    def save(self):
+        return {**self.__dict__, "storage": dict(self.storage)}
+
+    def restore(self, saved) -> None:
+        self.__dict__.clear()
+        self.__dict__.update(saved)
+        self.storage = dict(saved["storage"])
+
     def to_model(self):
         return canon.Record(storage=self.storage)
 

@@ -676,6 +676,15 @@ class VrActor(Actor):
         self.catchup_pos = 0
         self.phase2 = False
 
+    # The log is the only mutable field; its entries are immutable Records.
+    def save(self):
+        return {**self.__dict__, "log": list(self.log)}
+
+    def restore(self, saved) -> None:
+        self.__dict__.clear()
+        self.__dict__.update(saved)
+        self.log = list(saved["log"])
+
     def to_model(self):
         return canon.Record(
             status=self.status,

@@ -1,7 +1,9 @@
 """Independent reference solvers and serializer the package is checked against.
 
 Deliberately naive: these share no code or algorithmic structure with the
-production code, so agreement is meaningful.
+production code, so agreement is meaningful.  The one exception is
+``fresh_replay_verdicts``, which reuses the runner's per-step check: what it
+checks is how paths are executed, not how a step is judged.
 """
 
 from __future__ import annotations
@@ -132,3 +134,23 @@ def reference_dumps(value) -> str:
     if isinstance(value, (set, frozenset)):
         return '{"$set":[' + ",".join(sorted(reference_dumps(v) for v in value)) + "]}"
     raise TypeError(f"not a model value: {value!r}")
+
+
+def fresh_replay_verdicts(emulator_factory, suite) -> list:
+    """Every path's verdict from its own fresh emulator, in path-id order:
+    each path's actions from the start, sharing nothing with other paths."""
+    from actorcover.conformance import PASS, Verdict, check_step
+
+    graph = suite.graph
+    verdicts = []
+    for path_id, path in enumerate(suite.paths):
+        emulator = emulator_factory()
+        verdict = Verdict(path_id, PASS)
+        for step_index, eid in enumerate(path, start=1):
+            edge = graph.edges[eid]
+            failure = check_step(emulator, edge.action, graph.state(edge.destination))
+            if failure is not None:
+                verdict = Verdict(path_id, failure[0], step_index, failure[1])
+                break
+        verdicts.append(verdict)
+    return verdicts

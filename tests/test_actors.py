@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,14 +7,19 @@ from hypothesis import strategies as st
 from actorcover import canon
 from actorcover.actors import (
     EXTERNAL,
+    INJECT,
     Action,
+    Actor,
     ActorFailure,
     Emulator,
     EmulatorConfig,
     Event,
     IllegalActionError,
 )
-from actorcover.systems.kv import KEY, KvActor, _set_event
+from actorcover.systems.kv import KEY, KvActor, KvModel, _set_event
+from actorcover.systems.vr import MUTANTS, VrActor, VrModel
+
+from conftest import KV_BOUNDS, VR_BOUNDS
 
 
 def kv_emulator(n=1):
@@ -203,3 +210,82 @@ def test_replay_determinism_property(script):
     second_actions, second_snaps = run()
     assert first_actions == second_actions
     assert first_snaps == second_snaps
+
+
+class _DefaultSaveKvActor(KvActor):
+    """A kv actor with nested mutable state, on Actor's default save/restore."""
+
+    save = Actor.save
+    restore = Actor.restore
+
+    def __init__(self, actor_id: int, system_size: int):
+        super().__init__(actor_id, system_size)
+        self.seen = {"kinds": []}
+
+    def on_event(self, event):
+        self.seen["kinds"].append(event.kind)
+        return super().on_event(event)
+
+
+SAVING_ACTORS = {
+    "vr": VrActor,
+    **{f"vr {name}": cls for name, cls in MUTANTS.items()},
+    "kv": KvActor,
+    "default": _DefaultSaveKvActor,
+}
+
+
+def injected_emulator(actor_cls):
+    """An emulator of ``actor_cls`` holding every event its model injects first;
+    the first of them changes its destination actor when delivered."""
+    if issubclass(actor_cls, VrActor):
+        model, count = VrModel(VR_BOUNDS), VR_BOUNDS.replicas
+    else:
+        model, count = KvModel(KV_BOUNDS), KV_BOUNDS.actors
+    emulator = Emulator(EmulatorConfig(count, actor_cls))
+    injects = [a for a in model.enabled_actions(model.initial_state()) if a.kind == INJECT]
+    for action in injects:
+        emulator.step(action)
+    return emulator, injects[0].event
+
+
+def step_some(emulator, count):
+    """Deliver ``count`` pending events, rotating through them in key order."""
+    for i in range(count):
+        pending = sorted((e for e in emulator.store.image() if e.destination != EXTERNAL),
+                         key=Event.key)
+        emulator.step(Action.deliver(pending[i % len(pending)]))
+
+
+def full_state(emulator):
+    return emulator.snapshot(), [copy.deepcopy(vars(a)) for a in emulator.actors]
+
+
+@pytest.mark.parametrize("actor_cls", SAVING_ACTORS.values(), ids=SAVING_ACTORS.keys())
+def test_one_save_restores_exactly_any_number_of_times(actor_cls):
+    emulator, _ = injected_emulator(actor_cls)
+    saved, at_save = emulator.save(), full_state(emulator)
+    # Each round first delivers the event that changes the log or storage.
+    # The second round steps from a restored state: a restore that shared
+    # the saved log or storage with the actor would let it change the save.
+    for _ in range(2):
+        step_some(emulator, 5)
+        assert full_state(emulator)[1] != at_save[1]
+        emulator.restore(saved)
+        assert full_state(emulator) == at_save
+
+
+@pytest.mark.parametrize("actor_cls", SAVING_ACTORS.values(), ids=SAVING_ACTORS.keys())
+def test_a_restore_undoes_a_handler_that_changed_state_then_raised(actor_cls):
+    class Raising(actor_cls):
+        def on_event(self, event):
+            super().on_event(event)
+            raise RuntimeError("planted failure after the handler ran")
+
+    emulator, changing = injected_emulator(Raising)
+    saved, at_save = emulator.save(), full_state(emulator)
+    with pytest.raises(ActorFailure):
+        emulator.step(Action.deliver(changing))
+    assert vars(emulator.actors[changing.destination]) != at_save[1][changing.destination]
+    emulator.restore(saved)
+    assert full_state(emulator) == at_save

@@ -45,7 +45,11 @@ def work(built, tmp_path):
 
 def test_run_exit_codes(work, capsys):
     suite = work / "suite.ac1"
-    assert cli(capsys, "run", "--model", "vr", "--suite", suite)[0] == 0
+    rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite)
+    assert rc == 0
+    # Shared prefixes run once: 501 distinct prefixes in the 1,056 steps.
+    assert re.search(r"^108 paths in \S+s \(\d+ paths/s\); 501 of 1056 steps executed$", out,
+                     re.MULTILINE)
     assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit")[0] == 1
 
 
@@ -72,9 +76,10 @@ def test_run_fail_fast_stops_after_the_first_failing_path(work, capsys):
                "--out", suite)[0] == 0
     full, fast = work / "full.json", work / "fast.json"
     assert cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", "skip-commit",
-               "--out", full)[0] == 1
+               "--replay-log", work / "full-logs", "--out", full)[0] == 1
     rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant",
-                        "skip-commit", "--fail-fast", "--out", fast)
+                        "skip-commit", "--fail-fast", "--replay-log", work / "fast-logs",
+                        "--out", fast)
     assert rc == 1
     full_verdicts = json.loads(full.read_text(encoding="utf-8"))["verdicts"]
     first_failure = next(v["path"] for v in full_verdicts if v["status"] != "PASS")
@@ -85,6 +90,12 @@ def test_run_fail_fast_stops_after_the_first_failing_path(work, capsys):
     assert report["totals"]["PASS"] == first_failure
     assert sum(report["totals"].values()) == first_failure + 1
     assert f"{first_failure + 1} paths in " in out
+    # Every verdict is known before the report is cut: only the reported failure has a log.
+    log_name = f"path_{first_failure}.replay"
+    assert report["replay_logs"] == [str(work / "fast-logs" / log_name)]
+    assert [p.name for p in (work / "fast-logs").iterdir()] == [log_name]
+    assert (work / "fast-logs" / log_name).read_bytes() == (
+        work / "full-logs" / log_name).read_bytes()
 
 
 def test_parallel_flags_accept_only_one(work, capsys):

@@ -2,11 +2,15 @@
 
 The vr suite is the 108-path min suite of vr with 2 replicas, 1 query and
 1 view (310 states); the kill matrix below pins which mutants it kills.
+The prefix-sharing runner's verdicts are checked against fresh per-path
+replay (``oracles.fresh_replay_verdicts``).
 """
 
 import pytest
 
+from actorcover.actors import Emulator, EmulatorConfig
 from actorcover.conformance import (
+    ACTOR_FAILURE,
     EVENTS_MISMATCH,
     PASS,
     STATE_MISMATCH,
@@ -14,9 +18,13 @@ from actorcover.conformance import (
     replay,
     run_suite,
 )
+from actorcover.suitefile import SuiteFile
 from actorcover.systems import get_system
+from actorcover.systems.kv import SET_REQUEST, KvActor, make_emulator as kv_emulator
+from actorcover.tsg import baseline_suite, min_suite
 
-from conftest import VR_BOUNDS
+from conftest import KV_BOUNDS, VR_BOUNDS
+from oracles import fresh_replay_verdicts
 
 VR_MUTANTS = get_system("vr").mutants
 
@@ -62,3 +70,83 @@ def test_vr_kill_matrix_and_replay_logs(vr_min_suite, mutant, tmp_path):
     assert len(report.replay_logs) == len(failed)
     for verdict, log in zip(failed, report.replay_logs):
         assert replay(log, factory, vr_min_suite.header.content_hash) == verdict
+
+
+def in_memory_suite(graph, paths):
+    """A suite over an explored graph, without files; running it reads no header."""
+    return SuiteFile(None, graph, paths)
+
+
+def assert_walk_matches_fresh_replay(factory, suite):
+    """The prefix-sharing run gives every path the verdict fresh replay gives it."""
+    report = run_suite(factory, suite)
+    assert report.verdicts == fresh_replay_verdicts(factory, suite)
+    return report
+
+
+@pytest.fixture(scope="module")
+def vr_baseline_suite(vr_graph):
+    _model, graph = vr_graph
+    return in_memory_suite(graph, baseline_suite(graph.cover_graph()).paths)
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(VR_MUTANTS)])
+@pytest.mark.parametrize("suite", ["vr_min_suite", "vr_baseline_suite"])
+def test_vr_verdicts_equal_fresh_replay(request, suite, mutant):
+    suite = request.getfixturevalue(suite)
+    factory = request.getfixturevalue("vr_factory") if mutant is None else mutant_factory(mutant)
+    assert_walk_matches_fresh_replay(factory, suite)
+
+
+def test_baseline_paths_end_where_others_continue(vr_baseline_suite):
+    ordered = sorted(vr_baseline_suite.paths)
+    assert any(len(p) < len(q) and q[: len(p)] == p for p, q in zip(ordered, ordered[1:]))
+
+
+def test_kv_verdicts_equal_fresh_replay(kv_min_suite, kv_factory, bench_graph):
+    assert_walk_matches_fresh_replay(kv_factory, kv_min_suite)
+    # Crashes reset volatile state and drop events on the way.
+    model, graph = bench_graph("kv-a3-s2-crash-drop")
+    suite = in_memory_suite(graph, min_suite(graph.cover_graph()).paths)
+    report = assert_walk_matches_fresh_replay(lambda: kv_emulator(model.bounds), suite)
+    assert report.all_passed
+
+
+def test_verdicts_do_not_depend_on_path_order_or_duplicates(vr_min_suite):
+    """Reversed paths, one of them twice, get the verdicts their paths got before."""
+    factory = mutant_factory("keep-phase2")
+    before = {tuple(path): (v.status, v.failing_step, v.detail) for path, v in
+              zip(vr_min_suite.paths, run_suite(factory, vr_min_suite).verdicts)}
+    paths = [*reversed(vr_min_suite.paths), vr_min_suite.paths[0]]
+    report = assert_walk_matches_fresh_replay(factory, in_memory_suite(vr_min_suite.graph, paths))
+    assert [(v.status, v.failing_step, v.detail) for v in report.verdicts] == [
+        before[tuple(path)] for path in paths]
+    assert not report.all_passed
+
+
+class _FailsOnActorZeroSets(KvActor):
+    """Stores a set delivered to actor 0, then raises: one branch fails."""
+
+    def on_event(self, event):
+        requests = super().on_event(event)
+        if event.kind == SET_REQUEST and self.actor_id == 0:
+            raise RuntimeError("planted failure")
+        return requests
+
+
+def test_a_failing_branch_leaves_its_siblings_passing(kv_min_suite):
+    def factory():
+        return Emulator(EmulatorConfig(KV_BOUNDS.actors, _FailsOnActorZeroSets))
+
+    report = assert_walk_matches_fresh_replay(factory, kv_min_suite)
+    assert 0 < report.totals[ACTOR_FAILURE] < len(kv_min_suite.paths)
+    assert report.totals[PASS] + report.totals[ACTOR_FAILURE] == len(kv_min_suite.paths)
+
+
+def test_each_shared_prefix_is_stepped_once(vr_min_suite, vr_factory):
+    paths = vr_min_suite.paths
+    prefixes = {tuple(p[:k]) for p in paths for k in range(1, len(p) + 1)}
+    assert run_suite(vr_factory, vr_min_suite).steps_executed == len(prefixes) == 501
+    assert sum(map(len, paths)) == 1056
+    # A failing step ends every path through it: fewer steps run.
+    assert run_suite(mutant_factory("keep-phase2"), vr_min_suite).steps_executed < 501
