@@ -88,20 +88,9 @@ class Event:
         return value
 
     @classmethod
-    def from_value(cls, value: canon.Record, memo: dict | None = None) -> "Event":
-        """Event of a parsed value.
-
-        With ``memo`` (the dict given to ``canon.loads``, which returns one
-        object for records of equal text), one value object gives one Event.
-        """
-        if memo is None:
-            return cls(value["kind"], value["payload"], value["source"], value["destination"])
-        tag = (cls, id(value))
-        known = memo.get(tag)
-        if known is None:
-            # Holding the value keeps its id from being reused while the memo lives.
-            known = memo[tag] = (value, cls.from_value(value))
-        return known[1]
+    def from_value(cls, value: canon.Record) -> "Event":
+        """Event of a parsed value."""
+        return cls(value["kind"], value["payload"], value["source"], value["destination"])
 
     def key(self) -> str:
         key = getattr(self, "_key", None)
@@ -187,14 +176,14 @@ class Action:
         return canon.Record(rec)
 
     @classmethod
-    def from_value(cls, value: canon.Record, memo: dict | None = None) -> "Action":
-        """Action of a parsed value; ``memo`` shares equal events."""
+    def from_value(cls, value: canon.Record) -> "Action":
+        """Action of a parsed value."""
         return cls(
             kind=value["kind"],
-            event=Event.from_value(value["event"], memo) if "event" in value else None,
+            event=Event.from_value(value["event"]) if "event" in value else None,
             target=value.get("target"),
             payload=value.get("payload"),
-            drops=tuple(Event.from_value(v, memo) for v in value.get("drops", ())),
+            drops=tuple(Event.from_value(v) for v in value.get("drops", ())),
         )
 
     def key(self) -> str:

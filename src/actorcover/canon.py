@@ -16,11 +16,9 @@ there is one per distinct sorted key tuple, interned for the life of the
 process, so records of the same shape hold the same table and lookups are
 one dict probe.  A Record's hash is computed when it is built and its
 canonical text the first time it is dumped; both are kept, so a record
-shared by many states is serialized once.  ``loads(text, memo)`` returns
-one shared object for records of equal text parsed through the same
-``memo`` (hash-consing), which keeps a file of repetitive states compact in
-memory.  Equal text, not just equality: ``1 == True``, but a record
-holding one is not shared with a record holding the other.
+shared by many states is serialized once.  ``loads`` builds fresh values;
+sharing the parts of equal text across a file's states is the file
+reader's job (``suitefile.StateParser``).
 """
 
 from __future__ import annotations
@@ -226,49 +224,15 @@ def _from_pairs(pairs: list[tuple[str, object]]):
     return Record(data)
 
 
-def _decoder(hook) -> json.JSONDecoder:
-    return json.JSONDecoder(object_pairs_hook=hook, parse_float=_no_float, parse_constant=_no_float)
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_from_pairs, parse_float=_no_float, parse_constant=_no_float
+)
 
 
-_DECODER = _decoder(_from_pairs)
-
-
-def loads(text: str, memo: dict | None = None):
-    """Parse a canonical serialization back into a frozen value.
-
-    With ``memo``, every record whose text equals one already parsed through
-    the same memo is returned as that earlier object.
-    """
-    if memo is None:
-        value = _DECODER.decode(text)
-    else:
-
-        def shared(pairs):
-            value = _from_pairs(pairs)
-            if type(value) is Record:
-                known = memo.setdefault(value, value)
-                if known is not value and all(map(_same, known._values, value._values)):
-                    return known
-            return value
-
-        value = _decoder(shared).decode(text)
+def loads(text: str):
+    """Parse a canonical serialization back into a frozen value."""
+    value = _DECODER.decode(text)
     return _tuples(value) if type(value) is list else value
-
-
-def _same(a, b) -> bool:
-    """Whether two equal values also serialize alike (``1 == True``, but not in text)."""
-    if a is b:
-        return True
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is tuple:
-        return all(map(_same, a, b))
-    if kind is Record:
-        return a._shape is b._shape and all(map(_same, a._values, b._values))
-    if kind is frozenset:
-        return dumps(a) == dumps(b)
-    return True
 
 
 def diff(a, b, path: str = "") -> list[tuple[str, object, object]]:

@@ -122,9 +122,9 @@ def cmd_explore(args) -> int:
 def cmd_gensuite(args) -> int:
     """Cover every edge of a graph file or plain edge list with paths from vertex 1.
 
-    A graph file is read by ``suitefile.read_cover_graph``: the header and
-    the edges' endpoints.  Every line is checked as ``run`` checks it, but
-    no state is built and each distinct action text is parsed once.
+    A graph file is read by ``suitefile.read_graph_file``, which checks
+    every line as ``run`` does; only the edges' endpoints are kept for the
+    solve.
     """
     algorithm = ALGORITHMS[args.algorithm]
     path = Path(args.graph)
@@ -132,7 +132,9 @@ def cmd_gensuite(args) -> int:
         with open(path, "rb") as handle:
             first = handle.readline()
         if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
-            header, cover = suitefile.read_cover_graph(path)
+            header, graph = suitefile.read_graph_file(path)
+            cover = graph.cover_graph()
+            del graph
         else:
             data = path.read_bytes()
             cover = suitefile.parse_edge_list(suitefile.decode_utf8(data))
@@ -174,6 +176,14 @@ def cmd_gensuite(args) -> int:
     return 0
 
 
+def _bounds(spec, value):
+    """The system's bounds of a header's ``value``; MalformedInputError for a bad one."""
+    try:
+        return spec.bounds_from_value(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInputError(1, f"bad bounds: {exc}") from exc
+
+
 def _emulator_maker(spec, mutant: str | None):
     """The emulator factory of the named mutant, or of the correct implementation.
 
@@ -207,7 +217,10 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    bounds = spec.bounds_from_value(suite.header.bounds)
+    try:
+        bounds = _bounds(spec, suite.header.bounds)
+    except MalformedInputError as exc:
+        return _file_error(args.suite, exc)
     try:
         report = run_suite(
             lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
@@ -258,7 +271,10 @@ def cmd_replay(args) -> int:
             expected_hash = suitefile.read_header(args.suite, ("suite",)).content_hash
         except MalformedInputError as exc:
             return _file_error(args.suite, exc)
-    bounds = spec.bounds_from_value(log.bounds)
+    try:
+        bounds = _bounds(spec, log.bounds)
+    except MalformedInputError as exc:
+        return _file_error(args.log, exc)
     try:
         verdict = replay(args.log, lambda: make(bounds), expected_hash)
     except LogVersionMismatchError as exc:

@@ -31,7 +31,7 @@ from typing import Callable
 from . import canon
 from .actors import Action, ActorFailure, Emulator, IllegalActionError, SystemState
 from .model import ModelState
-from .suitefile import MalformedInputError, SuiteFile, decode_utf8
+from .suitefile import MalformedInputError, StateParser, SuiteFile, decode_utf8
 
 PASS = "PASS"
 STATE_MISMATCH = "STATE_MISMATCH"
@@ -242,11 +242,12 @@ def run_suite(
         first = next((i for i, v in enumerate(verdicts) if not v.passed), len(verdicts))
         del verdicts[first + 1:]
     logs = []
-    if replay_dir is not None:
-        for v in verdicts:
-            if not v.passed:
-                logs.append(str(Path(replay_dir) / f"path_{v.path_id}.replay"))
-                write_replay_log(logs[-1], suite, v.path_id)
+    failed = [v.path_id for v in verdicts if not v.passed]
+    if replay_dir is not None and failed:
+        Path(replay_dir).mkdir(parents=True, exist_ok=True)
+        for path_id in failed:
+            logs.append(str(Path(replay_dir) / f"path_{path_id}.replay"))
+            write_replay_log(logs[-1], suite, path_id)
     elapsed = time.perf_counter() - started
     totals = {status: 0 for status in STATUSES}
     for v in verdicts:
@@ -256,7 +257,10 @@ def run_suite(
 
 
 def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:
-    """Self-contained failing-path log: actions plus expected states."""
+    """Self-contained failing-path log: actions plus expected states.
+
+    The log's directory must exist.
+    """
     header = {
         "version": REPLAY_LOG_VERSION,
         "model": suite.header.model,
@@ -270,7 +274,6 @@ def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:
         edge = graph.edges[eid]
         state = graph.state(edge.destination)
         lines.append("\t".join(("R", edge.action.key(), str(edge.destination), state.key())))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
 
 
@@ -300,6 +303,7 @@ def read_replay_log(path) -> ReplayLog:
         bounds = canon.loads(header["bounds"])
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedInputError(1, f"bad replay log header: {exc!r}") from exc
+    parser = StateParser()
     steps = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -308,13 +312,7 @@ def read_replay_log(path) -> ReplayLog:
         if len(fields) != 4 or fields[0] != "R":
             raise MalformedInputError(lineno, "R line needs action, destination and state")
         try:
-            steps.append(
-                (
-                    Action.from_value(canon.loads(fields[1])),
-                    int(fields[2]),
-                    ModelState.from_value(canon.loads(fields[3])),
-                )
-            )
+            steps.append((parser.action(fields[1]), int(fields[2]), parser.state(fields[3])))
         except (ValueError, TypeError, KeyError) as exc:
             raise MalformedInputError(lineno, f"bad replay step: {exc}") from exc
     return ReplayLog(model, bounds, suite_hash, path_id, steps)

@@ -9,9 +9,8 @@ graph) identical across runs and processes.
 
 :class:`TransitionGraph` is the pipeline's one graph type: ``explore``
 builds it, and ``suitefile.read_graph_file`` reads it back for ``run``,
-which replays its edges.  ``gensuite`` covers only the edges' endpoints
-(:meth:`TransitionGraph.cover_graph`), which ``suitefile.read_cover_graph``
-reads from a graph file without building its states.
+which replays its edges, and for ``gensuite``, which covers only the
+edges' endpoints (:meth:`TransitionGraph.cover_graph`).
 """
 
 from __future__ import annotations

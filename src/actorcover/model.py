@@ -49,16 +49,6 @@ class ModelState:
             events=frozenset(e.to_value() for e in self.events),
         )
 
-    @classmethod
-    def from_value(cls, value: canon.Record, memo: dict | None = None) -> "ModelState":
-        """State of a parsed value; ``memo`` shares equal events (see Event.from_value)."""
-        return cls(
-            actors=value["actors"],
-            alive=value["alive"],
-            globals_=value["globals"],
-            events=frozenset(Event.from_value(v, memo) for v in value["events"]),
-        )
-
     def __hash__(self) -> int:
         # Dedup hashes each successor several times; compute it once.
         h = getattr(self, "_hash", None)

@@ -22,13 +22,15 @@ leaves a file whose hash check fails.  Readers check the hash before they
 parse the body, then parse it one line at a time, so no reader holds a
 file's text either.
 
-Each reader parses only what its caller uses.  Both graph readers check
-every line alike (``_scan_graph``) and parse each distinct action text
-once per file, so a file's repeated actions are one ``Action`` object.
-``read_graph_file`` builds the whole ``TransitionGraph``;
-``read_cover_graph``, for ``gensuite``, keeps only the edge endpoints and
-checks the S lines with a plain JSON scan that builds no Records, yet
-rejects every graph ``read_graph_file`` rejects, at the same line.
+``read_graph_file`` is the one graph reader: ``gensuite`` keeps only the
+edges' endpoints of what it returns, ``run`` the whole graph.  Every
+state and action text the program reads, in graph files and in replay
+logs, goes through one ``StateParser`` per file.  It builds each distinct
+part of a state (actor tuple, ``alive``, ``globals``, each event) and
+each distinct action once, keyed by its text, so a file's repetitive
+states share their parts and an edge's action shares its events with the
+states (hash-consing).  Keying by text keeps ``{"a":1}`` and
+``{"a":true}`` apart, although they are equal.
 
 A suite holds only what its graph does not.  The G line names the graph
 file relative to the suite's directory and pins the graph's hash, so the
@@ -49,12 +51,12 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import canon
-from .actors import Action
+from .actors import Action, Event
 from .explore import Edge, TransitionGraph
 from .model import ModelState
 from .tsg import CoverGraph, TestSuite
@@ -209,66 +211,102 @@ def _body_lines(path):
                 yield lineno, line.rstrip("\r\n").split("\t")
 
 
-def _plain_object(obj: dict):
-    """JSON object hook of the state scan: a set's members, else the plain dict.
-
-    Rejects what ``canon.loads`` rejects in an object: ``$set`` beside
-    other keys, and set members that cannot be iterated.
-    """
-    if canon.SET_TAG not in obj:
-        return obj
-    if len(obj) != 1:
-        raise ValueError(f"record key {canon.SET_TAG!r} is reserved")
-    return tuple(obj[canon.SET_TAG])
+_PLAIN = json.JSONDecoder(parse_float=canon._no_float, parse_constant=canon._no_float)
 
 
-_STATE_SCAN = json.JSONDecoder(
-    object_hook=_plain_object, parse_float=canon._no_float, parse_constant=canon._no_float
+# A plainly decoded JSON value back to text: sorted keys, no spaces, ASCII
+# escapes.  A canonical text renders back to itself.
+_RENDER = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
 )
 
-_STATE_FIELDS = ("actors", "alive", "globals", "events")  # in from_value's order
-_EVENT_FIELDS = ("kind", "payload", "source", "destination")
+
+def _members(value):
+    """The plainly decoded ``value`` as its canon value iterates: a set's members, else itself."""
+    while type(value) is dict and canon.SET_TAG in value:
+        if len(value) != 1:
+            raise ValueError(f"record key {canon.SET_TAG!r} is reserved")
+        value = value[canon.SET_TAG]
+    return value
 
 
-def _check_state(text: str) -> None:
-    """Reject what ``ModelState.from_value(canon.loads(text))`` rejects, building no Records.
+class StateParser:
+    """Parses the state and action texts of one file, building each distinct part once.
 
-    Parsed sets become tuples of their members and other objects stay
-    dicts, so ``events`` is iterated as ``from_value`` iterates it: the
-    members of a set or array, the keys of a record, the characters of a
-    string.
+    A state's parts are its actor tuple, ``alive``, ``globals`` and each
+    event.  A state text is decoded once as plain JSON; each part is
+    rendered back to text and looked up by it, and only a text not seen
+    before in this file goes through ``canon.loads``.  So parts of equal
+    text are one object across the file's states and actions, and parts
+    that are equal but not alike in text stay apart (``1 == True``).
+    Accepts and rejects what ``canon.loads`` and the model types do: a
+    state text that is not a record of four fields is first checked whole
+    by ``canon.loads``.  Bad texts raise ValueError, TypeError or KeyError.
     """
-    state = _STATE_SCAN.decode(text)
-    _check_record(state, "a state", _STATE_FIELDS)
-    for event in state["events"]:
-        _check_record(event, "an event", _EVENT_FIELDS)
+
+    def __init__(self):
+        self._values: dict[str, object] = {}  # actor tuples, alive and globals
+        self._events: dict[str, Event] = {}
+        self._actions: dict[str, Action] = {}
+
+    def _value(self, plain):
+        text = "".join(_RENDER(plain, 0))
+        value = self._values.get(text)
+        if value is None:
+            value = self._values[text] = canon.loads(text)
+        return value
+
+    def _event(self, text: str) -> Event:
+        event = self._events.get(text)
+        if event is None:
+            event = self._events[text] = Event.from_value(canon.loads(text))
+        return event
+
+    def state(self, text: str) -> ModelState:
+        """The state of an S or R line's text.
+
+        Fields are read in the order ``actors``, ``alive``, ``globals``,
+        ``events``, so a state that lacks several is reported by the first.
+        """
+        plain = _PLAIN.decode(text)
+        if type(plain) is not dict or len(plain) != 4:
+            value = canon.loads(text)  # rejects a bad value in any field
+            if type(value) is not canon.Record:
+                raise TypeError(f"a state is a record, not {type(value).__name__}")
+        return ModelState(
+            actors=self._value(plain["actors"]),
+            alive=self._value(plain["alive"]),
+            globals_=self._value(plain["globals"]),
+            events=frozenset(
+                self._event("".join(_RENDER(v, 0))) for v in _members(plain["events"])
+            ),
+        )
+
+    def action(self, text: str) -> Action:
+        """The action of an E or R line's text; one object per distinct text."""
+        action = self._actions.get(text)
+        if action is None:
+            action = Action.from_value(canon.loads(text))
+            action = self._actions[text] = replace(
+                action,
+                event=None if action.event is None else self._event(action.event.key()),
+                drops=tuple(self._event(e.key()) for e in action.drops),
+            )
+        return action
 
 
-def _check_record(value, what: str, fields: tuple[str, ...]) -> None:
-    if type(value) is not dict:
-        raise TypeError(f"{what} is a record, not {type(value).__name__}")
-    for key in fields:
-        if key not in value:
-            raise KeyError(key)
+def read_graph_file(path) -> tuple[Header, TransitionGraph]:
+    """Check the header and hash, then parse S and E lines one at a time.
 
-
-def _scan_graph(path, parse_state: Callable[[str], object],
-                parse_action: Callable[[str], Action], edge: Callable) -> tuple:
-    """Check a graph file's header, hash and every body line; the one place they are checked.
-
-    ``parse_state`` and ``parse_action`` turn an S or E line's text into
-    what the caller keeps, raising ValueError, TypeError or KeyError for a
-    bad one; ``parse_action`` runs once per distinct action text, and only
-    a successful parse is kept, so a bad action is reported at its first
-    line.  ``edge(src, action, dst)`` builds each kept edge.  Returns the
-    header, the parsed states and the edges.  The first bad line in file
-    order is reported, except that an edge endpoint can only be checked
-    once every state is known, after the last line.
+    Only the parsed graph is held, never the file's text; one
+    ``StateParser`` shares the parts of equal text.  The first bad line in
+    file order is reported, except that an edge endpoint can only be
+    checked once every state is known, after the last line.
     """
     header = read_header(path, ("graph",))
-    states: list = []
-    edges: list = []
-    actions: dict[str, Action] = {}
+    parser = StateParser()
+    states: list[ModelState] = []
+    edges: list[Edge] = []
     unchecked: list[tuple[int, int, int]] = []  # E lines naming a state not yet read
     for lineno, fields in _body_lines(path):
         if fields[0] == "S":
@@ -276,7 +314,7 @@ def _scan_graph(path, parse_state: Callable[[str], object],
                 raise MalformedInputError(lineno, "S line needs index and state")
             try:
                 index = int(fields[1])
-                state = parse_state(fields[2])
+                state = parser.state(fields[2])
             except (ValueError, TypeError, KeyError) as exc:
                 raise MalformedInputError(lineno, f"bad state: {exc}") from exc
             if index != len(states) + 1:
@@ -287,14 +325,12 @@ def _scan_graph(path, parse_state: Callable[[str], object],
                 raise MalformedInputError(lineno, "E line needs src, dst and action")
             try:
                 src, dst = int(fields[1]), int(fields[2])
-                action = actions.get(fields[3])
-                if action is None:
-                    action = actions[fields[3]] = parse_action(fields[3])
+                action = parser.action(fields[3])
             except (ValueError, TypeError, KeyError) as exc:
                 raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
             if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
                 unchecked.append((lineno, src, dst))
-            edges.append(edge(src, action, dst))
+            edges.append(Edge(src, action, dst))
         else:
             raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
     if not states:
@@ -302,39 +338,7 @@ def _scan_graph(path, parse_state: Callable[[str], object],
     for lineno, src, dst in unchecked:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
-    return header, states, edges
-
-
-def read_graph_file(path) -> tuple[Header, TransitionGraph]:
-    """Check the header and hash, then parse S and E lines one at a time.
-
-    Only the parsed graph is held, never the file's text.  Equal records
-    and events parsed from one file are one object, and so are the edges'
-    actions of equal text.
-    """
-    memo: dict = {}
-    header, states, edges = _scan_graph(
-        path,
-        lambda text: ModelState.from_value(canon.loads(text, memo), memo),
-        lambda text: Action.from_value(canon.loads(text, memo), memo),
-        Edge,
-    )
     return header, TransitionGraph(states, edges)
-
-
-def read_cover_graph(path) -> tuple[Header, CoverGraph]:
-    """The header and the edges' endpoints of a graph file, for ``gensuite``.
-
-    Equals ``read_graph_file(path)[1].cover_graph()`` and rejects the same
-    files at the same lines, but builds no state: S lines are only checked.
-    """
-    header, states, edges = _scan_graph(
-        path,
-        _check_state,
-        lambda text: Action.from_value(canon.loads(text)),
-        lambda src, _action, dst: (src, dst),
-    )
-    return header, CoverGraph(len(states), edges)
 
 
 def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> TransitionGraph:

@@ -142,20 +142,6 @@ def test_actor_exception_becomes_actor_failure():
         emu.step(Action.deliver(event))
 
 
-def test_parsing_through_a_memo_shares_events_of_equal_text():
-    memo = {}
-    texts = [
-        Action.deliver(_set_event(1, 0)).key(),
-        Action.crash(0, drops=(_set_event(1, 0), _set_event(2, 0))).key(),
-        '{"event":{"destination":0,"kind":"K","payload":{"a":1},"source":-1},"kind":"inject"}',
-        '{"event":{"destination":0,"kind":"K","payload":{"a":true},"source":-1},"kind":"inject"}',
-    ]
-    deliver, crash, one, true = (Action.from_value(canon.loads(t, memo), memo) for t in texts)
-    assert deliver.event is crash.drops[0]
-    assert [a.key() for a in (deliver, crash, one, true)] == texts
-    assert one.event == true.event and one.event is not true.event
-
-
 def test_action_log_round_trip():
     """Every action kind, crash drops and corrupt payloads included, survives its key."""
     actions = [

@@ -195,7 +195,6 @@ def test_loads_inverts_dumps(value):
     parsed = loads(text)
     assert parsed == freeze(value)
     assert dumps(parsed) == text
-    assert loads(text, {}) == parsed
 
 
 @given(values)
@@ -207,24 +206,3 @@ def test_record_text_is_the_same_before_and_after_caching(value):
     for record, text in reversed(list(zip(records, fresh))):
         assert dumps(record) == text
     assert [dumps(r) for r in records] == fresh
-
-
-@given(values, values)
-@settings(max_examples=200, deadline=None)
-def test_loads_with_a_memo_shares_equal_records(a, b):
-    memo = {}
-    text = dumps([a, b, a])
-    parsed = loads(text, memo)
-    again = loads(dumps(b), memo)
-    assert dumps(parsed) == text and dumps(again) == dumps(b)
-    by_text = {}
-    for record in _records(parsed + (again,)):
-        assert by_text.setdefault(dumps(record), record) is record
-
-
-def test_memo_keeps_true_and_one_apart():
-    parsed = loads('[{"a":1},{"a":true},{"a":1},{"a":[true]},{"a":[1]}]', {})
-    assert parsed[0] is parsed[2]
-    assert parsed[0] == parsed[1] and parsed[0] is not parsed[1]
-    assert parsed[3] is not parsed[4]
-    assert dumps(parsed) == '[{"a":1},{"a":true},{"a":1},{"a":[true]},{"a":[1]}]'

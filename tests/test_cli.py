@@ -226,6 +226,15 @@ def delete_graph(work):
     return work / "suite.ac1"
 
 
+def graph_bounds_damaged(work):
+    """A suite of a graph whose header has no bounds; the hash does not cover the header."""
+    graph = work / "graph.ac1"
+    header, body = graph.read_bytes().split(b"\n", 1)
+    graph.write_bytes(re.sub(rb"\tbounds=[^\t]*", b"\tbounds={}", header) + b"\n" + body)
+    assert main(["gensuite", "--graph", str(graph), "--out", str(work / "suite.ac1")]) == 0
+    return work / "suite.ac1"
+
+
 def edge_list_suite(work):
     (work / "edges.txt").write_text("1 2\n2 1\n2 3\n", encoding="utf-8")
     suite = work / "edges.ac1"
@@ -245,6 +254,7 @@ def edge_list_suite(work):
         (edge_list_suite, 1, "model=none"),
         (unknown_edge, 3, "edge 449 does not leave state 1"),
         (broken_chain, 3, "edge 0 does not leave state "),
+        (graph_bounds_damaged, 1, "bad bounds: 'replicas'"),
     ],
 )
 def test_run_rejects_bad_suites_with_a_line_number(work, capsys, damage, line, says):
@@ -315,6 +325,11 @@ def test_replay_rejects_a_log_of_another_model(vr_log, capsys):
     assert err == "error: log was written for model 'vr', not 'kv'\n"
 
 
+def log_bounds(header: str, bounds: str) -> str:
+    """A replay log's header line with its bounds replaced."""
+    return json.dumps(dict(json.loads(header), bounds=bounds), sort_keys=True)
+
+
 @pytest.mark.parametrize(
     "damage, line, says",
     [
@@ -322,8 +337,13 @@ def test_replay_rejects_a_log_of_another_model(vr_log, capsys):
         (lambda lines: ["{not json"] + lines[1:], 1, "bad replay log header"),
         (lambda lines: lines[:1] + ["\t".join(lines[1].split("\t")[:3])] + lines[2:], 2,
          "R line needs action, destination and state"),
+        (lambda lines: [log_bounds(lines[0], '{"max_queries":2}')] + lines[1:], 1,
+         "bad bounds: 'replicas'"),
+        (lambda lines: [log_bounds(lines[0], '{"max_queries":1,"max_views":1,"replicas":0}')]
+         + lines[1:], 1, "bad bounds: replicas must be 1..3"),
     ],
-    ids=["empty", "header-not-json", "step-with-3-fields"],
+    ids=["empty", "header-not-json", "step-with-3-fields", "bounds-missing-a-field",
+         "bounds-without-replicas"],
 )
 def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, damage, line,
                                                       says):
@@ -493,12 +513,35 @@ def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, lin
     ids=["plain-array", "empty-record", "empty-string"],
 )
 def test_gensuite_and_run_accept_the_same_events_values(work, capsys, events):
-    # ModelState.from_value iterates `events`: an array of events, or an
-    # empty record or string, gives a state as surely as a set does.
+    # The state parser iterates `events` as canon's value of it iterates: an
+    # array of events, or an empty record or string, gives a state as surely
+    # as a set does.
     graph = damage_graph(work, lambda body: state_5(body, lambda s: EVENTS_SET.sub(events, s)))
     assert cli(capsys, "gensuite", "--graph", graph)[0] == 0
     suite = repin_suite(work)
     assert cli(capsys, "run", "--model", "vr", "--suite", suite)[0] in (0, 1)
+
+
+def reversed_keys(value):
+    """A decoded JSON ``value`` with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(v) for v in value]
+    return value
+
+
+def test_gensuite_and_run_accept_a_state_that_is_not_canonical_text(work, capsys):
+    # Spaces and unsorted keys: the same state value, in other text.
+    def respell(line):
+        state = json.loads(line.split(b"\t", 2)[2])
+        return b"S\t5\t" + json.dumps(reversed_keys(state)).encode("ascii")
+
+    graph = damage_graph(work, lambda body: state_5(body, respell))
+    assert b'{"globals": ' in graph.read_bytes().splitlines()[5]
+    assert cli(capsys, "gensuite", "--graph", graph)[0] == 0
+    suite = repin_suite(work)
+    assert cli(capsys, "run", "--model", "vr", "--suite", suite)[0] == 0
 
 
 def last_state_moved_to_the_end(body):

@@ -6,8 +6,11 @@ The prefix-sharing runner's verdicts are checked against fresh per-path
 replay (``oracles.fresh_replay_verdicts``).
 """
 
+from pathlib import Path
+
 import pytest
 
+from actorcover import canon
 from actorcover.actors import Emulator, EmulatorConfig
 from actorcover.conformance import (
     ACTOR_FAILURE,
@@ -15,6 +18,7 @@ from actorcover.conformance import (
     PASS,
     STATE_MISMATCH,
     STATUSES,
+    read_replay_log,
     replay,
     run_suite,
 )
@@ -70,6 +74,19 @@ def test_vr_kill_matrix_and_replay_logs(vr_min_suite, mutant, tmp_path):
     assert len(report.replay_logs) == len(failed)
     for verdict, log in zip(failed, report.replay_logs):
         assert replay(log, factory, vr_min_suite.header.content_hash) == verdict
+
+
+def test_a_replay_log_shares_the_parts_of_equal_text(vr_min_suite, tmp_path):
+    # One state parser reads a log's R lines, as it reads a graph's S and E lines.
+    report = run_suite(mutant_factory("keep-phase2"), vr_min_suite, replay_dir=str(tmp_path))
+    log = read_replay_log(max(report.replay_logs, key=lambda p: Path(p).stat().st_size))
+    assert len(log.steps) > 2
+    by_text = {}
+    for action, _dest, state in log.steps:
+        for part in (state.actors, state.alive, state.globals_):
+            assert by_text.setdefault(("value", canon.dumps(part)), part) is part
+        for event in [*state.events, *filter(None, [action.event]), *action.drops]:
+            assert by_text.setdefault(("event", event.key()), event) is event
 
 
 def in_memory_suite(graph, paths):

@@ -231,12 +231,15 @@ def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
     first, second = tmp_path / "first.ac1", tmp_path / "second.ac1"
     write_graph_file(first, model.name, model.bounds_value(), graph)
     assert hashlib.sha256(first.read_bytes()).hexdigest() == GRAPH_DIGESTS[name]
-    # Read back through the shared-record memo, the graph writes the same bytes.
+    # Read back through the state parser, the graph writes the same bytes.
     _header, read = read_graph_file(first)
     assert read.states == graph.states
     assert read.edges == graph.edges
+    # The parser shares events by text: the states' with each other and with the actions'.
     events = {}
-    for event in [e for s in read.states for e in s.events] + [e.action.event for e in read.edges]:
+    actions = {e.action for e in read.edges}
+    for event in ([e for s in read.states for e in s.events]
+                  + [a.event for a in actions] + [e for a in actions for e in a.drops]):
         assert event is None or events.setdefault(event.key(), event) is event
     write_graph_file(second, model.name, model.bounds_value(), read)
     assert second.read_bytes() == first.read_bytes()
