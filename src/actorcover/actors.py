@@ -215,16 +215,6 @@ class SystemState:
     alive: tuple[bool, ...]
     events: frozenset[Event]
 
-    def to_value(self) -> canon.Record:
-        return canon.Record(
-            actors=self.actors,
-            alive=self.alive,
-            events=frozenset(e.to_value() for e in self.events),
-        )
-
-    def key(self) -> str:
-        return canon.dumps(self.to_value())
-
 
 class Actor(ABC):
     """Implementation-side actor: reacts to events, projects to the model.

@@ -256,10 +256,7 @@ def cmd_replay(args) -> int:
         return USAGE_ERROR
     try:
         log = read_replay_log(args.log)
-    except LogVersionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, MalformedInputError) as exc:
+    except MalformedInputError as exc:
         return _file_error(args.log, exc)
     if log.model != spec.name:
         print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
@@ -297,10 +294,15 @@ def cmd_stats(args) -> int:
         "edges": stats.get("edges"),
     }
     headline = f"D={row['diameter']} |V|={row['states']} |E|={row['edges']}"
-    if header.kind == "suite":
+    if header.kind in ("suite", "replay"):
         row["paths"] = stats.get("paths")
         row["total_length"] = stats.get("total_length")
         headline += f" |P|={row['paths']} total={row['total_length']}"
+    if header.kind == "replay":
+        row["path"] = stats.get("path")
+        row["steps"] = stats.get("steps")
+        row["suite"] = stats.get("suite")
+        headline += f" path={row['path']} steps={row['steps']} suite={row['suite']}"
     print(json.dumps(row, sort_keys=True))
     print(headline)
     return 0
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutant", help="replay against a seeded-bug implementation variant")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("stats", help="print summary statistics of a graph or suite file")
+    p = sub.add_parser("stats",
+                       help="print summary statistics of a graph, suite or replay-log file")
     p.add_argument("file")
     p.set_defaults(func=cmd_stats)
     return parser

@@ -15,9 +15,11 @@ deterministic and a restore puts back exactly the saved state (the
 ``Actor.save``/``restore`` contract), so every path's verdict is the one
 its own actions give on a fresh implementation, as ``replay`` runs them.
 
-Every failure is written as a self-contained replay log (actions plus
-expected states, pinned to the suite's content hash) that reproduces the
-identical verdict later.
+Every failure can be written as a replay log: an AC1 file of kind
+``replay`` (see ``suitefile``) holding the failing path's actions and
+expected states, with the suite's content hash and the path's id in its
+header.  ``replay`` checks the log's hash before it parses the log, then
+reproduces the identical verdict from the log alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 from . import canon
 from .actors import Action, ActorFailure, Emulator, IllegalActionError, SystemState
 from .model import ModelState
-from .suitefile import MalformedInputError, StateParser, SuiteFile, decode_utf8
+from .suitefile import SuiteFile, read_replay_log, write_replay_log
 
 PASS = "PASS"
 STATE_MISMATCH = "STATE_MISMATCH"
@@ -41,11 +43,9 @@ ACTOR_FAILURE = "ACTOR_FAILURE"
 
 STATUSES = (PASS, STATE_MISMATCH, EVENTS_MISMATCH, ILLEGAL_ACTION, ACTOR_FAILURE)
 
-REPLAY_LOG_VERSION = 1
-
 
 class LogVersionMismatchError(Exception):
-    """The replay log was produced by an incompatible format version."""
+    """The replay log is pinned to another suite than the one it is checked against."""
 
 
 @dataclass
@@ -254,68 +254,6 @@ def run_suite(
         totals[v.status] += 1
     rate = len(verdicts) / elapsed if elapsed > 0 else 0.0
     return RunReport(totals, verdicts, elapsed, rate, logs, executed)
-
-
-def write_replay_log(path, suite: SuiteFile, path_id: int) -> None:
-    """Self-contained failing-path log: actions plus expected states.
-
-    The log's directory must exist.
-    """
-    header = {
-        "version": REPLAY_LOG_VERSION,
-        "model": suite.header.model,
-        "bounds": canon.dumps(suite.header.bounds),
-        "suite_hash": suite.header.content_hash,
-        "path": path_id,
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    graph = suite.graph
-    for eid in suite.paths[path_id]:
-        edge = graph.edges[eid]
-        state = graph.state(edge.destination)
-        lines.append("\t".join(("R", edge.action.key(), str(edge.destination), state.key())))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
-
-
-@dataclass
-class ReplayLog:
-    model: str
-    bounds: canon.Record
-    suite_hash: str
-    path_id: int
-    steps: list[tuple[Action, int, ModelState]]
-
-
-def read_replay_log(path) -> ReplayLog:
-    """Parse a replay log; MalformedInputError names the offending line."""
-    lines = decode_utf8(Path(path).read_bytes()).splitlines()
-    if not lines:
-        raise MalformedInputError(1, "empty replay log")
-    try:
-        header = json.loads(lines[0])
-        version = header.get("version")
-    except (ValueError, AttributeError) as exc:
-        raise MalformedInputError(1, f"bad replay log header: {exc}") from exc
-    if version != REPLAY_LOG_VERSION:
-        raise LogVersionMismatchError(f"log version {version!r}, expected {REPLAY_LOG_VERSION}")
-    try:
-        model, suite_hash, path_id = header["model"], header["suite_hash"], header["path"]
-        bounds = canon.loads(header["bounds"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise MalformedInputError(1, f"bad replay log header: {exc!r}") from exc
-    parser = StateParser()
-    steps = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4 or fields[0] != "R":
-            raise MalformedInputError(lineno, "R line needs action, destination and state")
-        try:
-            steps.append((parser.action(fields[1]), int(fields[2]), parser.state(fields[3])))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise MalformedInputError(lineno, f"bad replay step: {exc}") from exc
-    return ReplayLog(model, bounds, suite_hash, path_id, steps)
 
 
 def replay(

@@ -7,6 +7,11 @@ synchronous: each BFS level's new states are sorted by canonical key
 makes the resulting indices (and therefore every file derived from the
 graph) identical across runs and processes.
 
+Each level's edges are appended in expansion order, so a state's first
+incoming edge is the one that discovered it: the first edge into each
+state other than 1 is its BFS tree edge.  The counterexample path and the
+diameter are read off that tree, with no parent table or second BFS.
+
 :class:`TransitionGraph` is the pipeline's one graph type: ``explore``
 builds it, and ``suitefile.read_graph_file`` reads it back for ``run``,
 which replays its edges, and for ``gensuite``, which covers only the
@@ -70,22 +75,30 @@ class TransitionGraph:
         sources = {e.source for e in self.edges}
         return [i for i in range(1, self.state_count + 1) if i not in sources]
 
-    def diameter(self) -> int:
-        """Maximum BFS distance from state 1 over the edge relation."""
-        adjacency: dict[int, list[int]] = {}
+    def tree_path(self, index: int) -> list[Edge]:
+        """The BFS tree's edges from state 1 to state ``index``.
+
+        A state's tree edge is its first incoming edge, as ``explore``
+        orders states and edges; a graph file keeps that order.
+        """
+        first: list[Edge | None] = [None] * (self.state_count + 1)
         for e in self.edges:
-            adjacency.setdefault(e.source, []).append(e.destination)
-        dist = {1: 0}
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adjacency.get(u, ()):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return max(dist.values()) if dist else 0
+            if first[e.destination] is None:
+                first[e.destination] = e
+        path = []
+        while index > 1:
+            path.append(first[index])
+            index = path[-1].source
+        path.reverse()
+        return path
+
+    def diameter(self) -> int:
+        """Maximum BFS distance from state 1: the tree depth of the last state.
+
+        States are numbered level by level, so the last one lies on the
+        deepest level.
+        """
+        return len(self.tree_path(self.state_count))
 
     def stats_value(self) -> canon.Record:
         """Machine-readable summary record."""
@@ -138,7 +151,6 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
     init = model.initial_state()
     states: list[ModelState] = [init]
     index_of: dict[ModelState, int] = {init: 1}
-    parents: dict[int, tuple[int, Action]] = {}
     edges: list[Edge] = []
     violations: list[InvariantViolation] = []
 
@@ -161,19 +173,14 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
                 action = shared.setdefault(action, action)
                 expansions.append((src, action, model.apply(state, action)))
         # Dedup new successors; assign this level's indices in key order.
-        fresh: dict[ModelState, tuple[int, Action]] = {}
-        for src, action, succ in expansions:
-            if succ not in index_of and succ not in fresh:
-                fresh[succ] = (src, action)
+        fresh = {succ for _src, _action, succ in expansions if succ not in index_of}
         level = sorted(fresh, key=ModelState.text)
         for succ in level:
-            src, action = fresh[succ]
             if len(states) >= max_states:
                 raise StateCapExceededError(max_states, len(states), len(edges))
             states.append(succ)
             index = len(states)
             index_of[succ] = index
-            parents[index] = (src, action)
             check(succ, index)
         for src, action, succ in expansions:
             edges.append(Edge(src, action, index_of[succ]))
@@ -182,25 +189,14 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
     graph = TransitionGraph(states, edges)
     counterexample = None
     if violations:
-        counterexample = _path_to(parents, graph, violations[0].state_index)
+        path = graph.tree_path(violations[0].state_index)
+        counterexample = [(e.action, e.destination) for e in path]
     return ExploreResult(graph, violations, counterexample)
-
-
-def _path_to(parents, graph, index: int) -> list[tuple[Action, int]]:
-    """Root-anchored action path reaching the given state index."""
-    steps = []
-    while index != 1:
-        src, action = parents[index]
-        steps.append((action, index))
-        index = src
-    steps.reverse()
-    return steps
 
 
 @dataclass
 class QuiescenceReport:
     violations: list[InvariantViolation]
-    sink_count: int
     no_sinks: bool
 
 
@@ -219,4 +215,4 @@ def check_quiescent_progress(graph: TransitionGraph, model: Model) -> Quiescence
         detail = model.quiescence_violation(state)
         if detail is not None:
             violations.append(InvariantViolation(index, "QuiescentProgress", detail))
-    return QuiescenceReport(violations, len(sinks), no_sinks=not sinks)
+    return QuiescenceReport(violations, no_sinks=not sinks)

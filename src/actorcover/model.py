@@ -132,9 +132,6 @@ class InvariantViolation:
     name: str
     detail: str
 
-    def to_value(self) -> canon.Record:
-        return canon.Record(state=self.state_index, invariant=self.name, detail=self.detail)
-
 
 class Model(ABC):
     """Init / enabled / apply / invariants over the emulator's action vocabulary."""

@@ -1,4 +1,4 @@
-"""Line-delimited graph and suite files shared by the whole pipeline.
+"""Line-delimited graph, suite and replay-log files shared by the whole pipeline.
 
 Layout (UTF-8, LF newlines, TAB-separated fields):
 
@@ -7,10 +7,11 @@ Layout (UTF-8, LF newlines, TAB-separated fields):
     E <src> <dst> <canonical action>         graph files
     G <graph file> <graph content hash>      suite files: first line
     P <count> <edge-id> <edge-id>…           suite files: one per path
+    R <action> <dst> <state>                 replay logs: one per step
 
-``kind`` is graph or suite.  State index 1 is always the initial state
-and S lines appear in index order; edge ids number the E lines from 0.
-A graph file reads back into the ``explore.TransitionGraph`` it was
+``kind`` is graph, suite or replay.  State index 1 is always the initial
+state and S lines appear in index order; edge ids number the E lines from
+0.  A graph file reads back into the ``explore.TransitionGraph`` it was
 written from.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
@@ -40,9 +41,17 @@ stats, the stats extended with ``paths`` and ``total_length``.  A suite of
 a plain edge list has ``model=none``, pins the sha256 of the edge list's
 bytes, and cannot be run.
 
+A replay log is one path of a suite, self-contained: each R line holds a
+step's action, the index of the state it reaches and that state, so the
+log replays without the suite or its graph.  Its header copies the
+suite's model, bounds and stats, the stats extended with ``path`` (the
+path's id), ``steps`` and ``suite`` (the suite's content hash).
+
 Migration: suite files from before edge-id paths copied every state (S
 lines) and step action (P lines); they are rejected at their first S line
-and must be regenerated with ``actorcover gensuite``.
+and must be regenerated with ``actorcover gensuite``.  Replay logs from
+before this layout start with a JSON header line; they are rejected at
+line 1 and are written again by ``actorcover run --replay-log``.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ class MalformedInputError(Exception):
 
 @dataclass(frozen=True)
 class Header:
-    """The first line of a graph or suite file."""
+    """The first line of a graph, suite or replay-log file."""
 
     kind: str
     model: str
@@ -95,6 +104,17 @@ class SuiteFile:
     header: Header
     graph: TransitionGraph
     paths: list[list[int]]
+
+
+@dataclass
+class ReplayLog:
+    """A replay log's model and bounds, the suite and path it was written from, and its steps."""
+
+    model: str
+    bounds: canon.Record
+    suite_hash: str
+    path_id: int
+    steps: list[tuple[Action, int, ModelState]]
 
 
 def _write(path, kind: str, model: str, bounds, stats, body_lines: Iterable[str]) -> str:
@@ -151,6 +171,20 @@ def write_suite_file(path, graph_path, graph: Header, suite: TestSuite) -> str:
     return _write(path, "suite", graph.model, graph.bounds, stats, lines)
 
 
+def write_replay_log(path, suite: SuiteFile, path_id: int) -> str:
+    """Write path ``path_id`` of ``suite`` as a replay log; returns its content hash.
+
+    The log's directory must exist.
+    """
+    header, graph, eids = suite.header, suite.graph, suite.paths[path_id]
+    lines = (
+        f"R\t{edge.action.key()}\t{edge.destination}\t{graph.state(edge.destination).key()}"
+        for edge in map(graph.edges.__getitem__, eids)
+    )
+    stats = header.stats.replace(path=path_id, steps=len(eids), suite=header.content_hash)
+    return _write(path, "replay", header.model, header.bounds, stats, lines)
+
+
 def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header:
     """Parse a header line, then check the file's kind and its body's hash."""
     if not line:
@@ -176,7 +210,7 @@ def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header
     return header
 
 
-def read_header(path, kinds: tuple[str, ...] = ("graph", "suite")) -> Header:
+def read_header(path, kinds: tuple[str, ...] = ("graph", "suite", "replay")) -> Header:
     """Parse only the header line; the body is streamed through sha256 to check it."""
     digest = hashlib.sha256()
     try:
@@ -339,6 +373,25 @@ def read_graph_file(path) -> tuple[Header, TransitionGraph]:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
     return header, TransitionGraph(states, edges)
+
+
+def read_replay_log(path) -> ReplayLog:
+    """Check the header and hash, then parse the R lines one at a time."""
+    header = read_header(path, ("replay",))
+    try:
+        suite_hash, path_id = header.stats["suite"], header.stats["path"]
+    except KeyError as exc:
+        raise MalformedInputError(1, f"bad header: no {exc} in stats") from exc
+    parser = StateParser()
+    steps = []
+    for lineno, fields in _body_lines(path):
+        if len(fields) != 4 or fields[0] != "R":
+            raise MalformedInputError(lineno, "R line needs action, destination and state")
+        try:
+            steps.append((parser.action(fields[1]), int(fields[2]), parser.state(fields[3])))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise MalformedInputError(lineno, f"bad replay step: {exc}") from exc
+    return ReplayLog(header.model, header.bounds, suite_hash, path_id, steps)
 
 
 def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> TransitionGraph:

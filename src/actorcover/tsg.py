@@ -77,7 +77,6 @@ class TestSuite:
 
 @dataclass
 class CoverageReport:
-    hits: list[int]
     uncovered: list[int]
     path_count: int
     total_length: int
@@ -261,7 +260,7 @@ def verify_coverage(graph: CoverGraph, suite: TestSuite) -> CoverageReport:
             position = v
     uncovered = [eid for eid, c in enumerate(hits) if c == 0]
     bound = (diameter(graph) + 1) * len(graph.edges)
-    return CoverageReport(hits, uncovered, suite.path_count, suite.total_length, bound)
+    return CoverageReport(uncovered, suite.path_count, suite.total_length, bound)
 
 
 def random_cover_graph(rng: random.Random, max_vertices: int, max_edges: int) -> CoverGraph:

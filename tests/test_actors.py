@@ -186,7 +186,7 @@ def test_replay_determinism_property(script):
                 "restart": Action.restart(dest),
             }[verb]
             try:
-                snaps.append(emu.step(action).key())
+                snaps.append(emu.step(action))
                 taken.append(action)
             except IllegalActionError:
                 pass

@@ -325,34 +325,87 @@ def test_replay_rejects_a_log_of_another_model(vr_log, capsys):
     assert err == "error: log was written for model 'vr', not 'kv'\n"
 
 
-def log_bounds(header: str, bounds: str) -> str:
-    """A replay log's header line with its bounds replaced."""
-    return json.dumps(dict(json.loads(header), bounds=bounds), sort_keys=True)
+def with_field(header: bytes, name: bytes, value: bytes) -> bytes:
+    """An AC1 header line with its ``name=`` field set to ``value``."""
+    fields = [name + b"=" + value if f.startswith(name + b"=") else f
+              for f in header.split(b"\t")]
+    return b"\t".join(fields)
 
 
 @pytest.mark.parametrize(
     "damage, line, says",
     [
-        (lambda lines: [], 1, "empty replay log"),
-        (lambda lines: ["{not json"] + lines[1:], 1, "bad replay log header"),
-        (lambda lines: lines[:1] + ["\t".join(lines[1].split("\t")[:3])] + lines[2:], 2,
+        (lambda log, header, body: log.write_bytes(b""), 1, "empty file"),
+        (lambda log, header, body: rewrite_bytes(log, with_field(header, b"stats", b"{"), body),
+         1, "bad header"),
+        (lambda log, header, body: rewrite_bytes(
+            log, with_field(header, b"stats", b'{"path":0}'), body), 1,
+         "bad header: no 'suite' in stats"),
+        (lambda log, header, body: rewrite_bytes(
+            log, header, [b"\t".join(body[0].split(b"\t")[:3])] + body[1:]), 2,
          "R line needs action, destination and state"),
-        (lambda lines: [log_bounds(lines[0], '{"max_queries":2}')] + lines[1:], 1,
+        (lambda log, header, body: rewrite_bytes(
+            log, with_field(header, b"bounds", b'{"max_queries":2}'), body), 1,
          "bad bounds: 'replicas'"),
-        (lambda lines: [log_bounds(lines[0], '{"max_queries":1,"max_views":1,"replicas":0}')]
-         + lines[1:], 1, "bad bounds: replicas must be 1..3"),
+        (lambda log, header, body: rewrite_bytes(
+            log, with_field(header, b"bounds", b'{"max_queries":1,"max_views":1,"replicas":0}'),
+            body), 1, "bad bounds: replicas must be 1..3"),
     ],
-    ids=["empty", "header-not-json", "step-with-3-fields", "bounds-missing-a-field",
-         "bounds-without-replicas"],
+    ids=["empty", "header-not-json", "stats-without-suite", "step-with-3-fields",
+         "bounds-missing-a-field", "bounds-without-replicas"],
 )
 def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, damage, line,
                                                       says):
     log = tmp_path / "bad.replay"
-    lines = damage(vr_log.read_text(encoding="utf-8").splitlines())
-    log.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    header, *body = vr_log.read_bytes().splitlines()
+    damage(log, header, body)
     rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
     assert rc == 2
     assert err.startswith(f"error: {log}: line {line}: {says}"), err
+
+
+def test_replay_rejects_a_log_edited_under_its_header(vr_log, tmp_path, capsys):
+    # The edit makes the mutant's last state the expected one: unchecked, the log would pass.
+    log = tmp_path / "edited.replay"
+    lines = vr_log.read_bytes().splitlines(keepends=True)
+    assert b'"phase2":false' in lines[-1]
+    lines[-1] = lines[-1].replace(b'"phase2":false', b'"phase2":true', 1)
+    log.write_bytes(b"".join(lines))
+    rc, _out, err = cli(capsys, "replay", "--model", "vr", "--mutant", "keep-phase2", "--log", log)
+    assert rc == 2
+    assert err.startswith(f"error: {log}: line 1: content hash mismatch"), err
+
+
+def test_replay_rejects_a_log_with_a_json_header(built, vr_log, tmp_path, capsys):
+    """A log as written before replay logs were AC1 files: a JSON header line."""
+    log = tmp_path / "old.replay"
+    header = {
+        "bounds": '{"max_queries":1,"max_views":1,"replicas":2}',
+        "model": "vr",
+        "path": 0,
+        "suite_hash": read_header(built / "suite.ac1").content_hash,
+        "version": 1,
+    }
+    body = vr_log.read_bytes().split(b"\n", 1)[1]
+    log.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+    rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
+    assert rc == 2
+    assert err == f"error: {log}: line 1: not a AC1 file header\n"
+
+
+def test_stats_answers_for_a_replay_log_from_its_header(built, vr_log, capsys):
+    rc, out, _err = cli(capsys, "stats", vr_log)
+    assert rc == 0
+    row, headline = out.splitlines()
+    suite_hash = read_header(built / "suite.ac1").content_hash
+    path = int(vr_log.stem.removeprefix("path_"))
+    steps = len(vr_log.read_bytes().splitlines()) - 1
+    assert json.loads(row) == {
+        "kind": "replay", "diameter": 15, "states": 310, "edges": 449, "paths": 108,
+        "total_length": 1056, "path": path, "steps": steps, "suite": suite_hash,
+    }
+    assert headline == (f"D=15 |V|=310 |E|=449 |P|=108 total=1056 path={path} steps={steps} "
+                        f"suite={suite_hash}")
 
 
 def test_replay_checks_the_suite_hash(work, capsys):
@@ -420,13 +473,15 @@ def test_stats_rejects_a_tampered_file(work, capsys):
 
 # sha256 of `run --out report.json --replay-log logs` on the min suite of the
 # conftest vr bounds: the report, then each replay log's name and bytes.
-# Taken before graph files were read into a TransitionGraph.
+# Taken before graph files were read into a TransitionGraph; the three that
+# write logs were taken again when replay logs got the AC1 header, after
+# checking that every report and every log's R lines stayed byte-identical.
 RUN_DIGESTS = {
     "correct": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
-    "keep-phase2": "5817d7b758e57b8e86115cee24c4071163adcc2e5589d875f521351a59f15782",
-    "no-commit-broadcast": "199b40a99a143a350d104121f31e7134c19f8a1938420a8e2aaa5190882e4c12",
+    "keep-phase2": "8d33cee21b62230b2e66d84ae34447b9cf30a35786dd3e98c5a7cbf9efae1c17",
+    "no-commit-broadcast": "21ae3b51859334d4d1d456f6b1ca2926293c9f759935070e57c164492be27c9a",
     "prepend-entry": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
-    "skip-commit": "532836741ad18eaa2a04e8a7c9dd826c13c0841d95f82c4d8aeb679395d60d1e",
+    "skip-commit": "08b6859469907e2daea0562639b989720b19730c5222e22eb9a67aa3faa26a79",
     "stale-prepare": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
 }
 
@@ -574,8 +629,8 @@ def test_gensuite_rejects_an_edge_list_that_is_not_utf8(tmp_path, capsys):
 
 def test_replay_rejects_a_log_that_is_not_utf8(vr_log, tmp_path, capsys):
     log = tmp_path / "bad.replay"
-    lines = vr_log.read_bytes().splitlines(keepends=True)
-    log.write_bytes(b"".join(lines[:2] + [b"\xfe" + lines[2]] + lines[3:]))
+    header, *body = vr_log.read_bytes().splitlines()
+    rewrite_bytes(log, header, body[:1] + [b"\xfe" + body[1]] + body[2:])
     rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
     assert rc == 2
     assert err.startswith(f"error: {log}: line 3: not UTF-8"), err

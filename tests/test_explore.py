@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from actorcover import canon
+from actorcover import canon, tsg
 from actorcover.actors import Action, Event
 from actorcover.dot import export_dot
 from actorcover.explore import (
@@ -286,6 +286,23 @@ def test_a_read_graph_exports_the_same_dot(request, tmp_path, name):
     write_graph_file(tmp_path / "graph.ac1", model.name, model.bounds_value(), graph)
     _header, read = read_graph_file(tmp_path / "graph.ac1")
     assert export_dot(read) == export_dot(graph)
+
+
+@pytest.mark.parametrize("name", ["vr", "kv", "vr-r2-q2-v1", "kv-a3-s2-crash-drop"])
+def test_the_diameter_is_the_depth_of_the_bfs_tree(request, bench_graph, name):
+    # The tree is read off explore's edge order; tsg runs a BFS of its own.
+    if name in ("vr", "kv"):
+        graph = request.getfixturevalue(f"{name}_graph")[1]
+    else:
+        graph = bench_graph(name)[1]
+    assert graph.diameter() == tsg.diameter(graph.cover_graph())
+    path = graph.tree_path(graph.state_count)
+    assert len(path) == graph.diameter()
+    at = 1
+    for edge in path:
+        assert edge.source == at
+        at = edge.destination
+    assert at == graph.state_count
 
 
 class GcProbe(CounterModel):
