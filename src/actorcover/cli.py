@@ -16,12 +16,7 @@ import time
 from pathlib import Path
 
 from . import canon, dot, suitefile, tsg
-from .conformance import (
-    LogVersionMismatchError,
-    read_replay_log,
-    replay,
-    run_suite,
-)
+from .conformance import LogVersionMismatchError, replay, run_suite
 from .explore import StateCapExceededError, check_quiescent_progress, explore
 from .suitefile import MalformedInputError
 from .systems import REGISTRY, get_system
@@ -255,11 +250,11 @@ def cmd_replay(args) -> int:
     if make is None:
         return USAGE_ERROR
     try:
-        log = read_replay_log(args.log)
+        header = suitefile.read_header(args.log, ("replay",))
     except MalformedInputError as exc:
         return _file_error(args.log, exc)
-    if log.model != spec.name:
-        print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
+    if header.model != spec.name:
+        print(f"error: log was written for model {header.model!r}, not {spec.name!r}",
               file=sys.stderr)
         return USAGE_ERROR
     expected_hash = None
@@ -269,11 +264,13 @@ def cmd_replay(args) -> int:
         except MalformedInputError as exc:
             return _file_error(args.suite, exc)
     try:
-        bounds = _bounds(spec, log.bounds)
+        bounds = _bounds(spec, header.bounds)
     except MalformedInputError as exc:
         return _file_error(args.log, exc)
-    try:
+    try:  # the log's body is parsed here, once
         verdict = replay(args.log, lambda: make(bounds), expected_hash)
+    except MalformedInputError as exc:
+        return _file_error(args.log, exc)
     except LogVersionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

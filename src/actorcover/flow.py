@@ -2,11 +2,18 @@
 
 ``FlowNetwork`` is a residual-edge-pair network over 0-based vertices.
 ``max_flow`` is Dinic's algorithm: one blocking flow (``_blocking_flow``)
-per BFS level graph of the arcs with capacity left.
+per BFS level graph of the arcs with capacity left.  The level graph
+ends at the sink's level, and after each augmenting path the search
+resumes at the path's first saturated arc.
 ``cancel_negative_cycles`` lowers the cost of the network's flow without
 changing any vertex's balance: it pushes flow around a negative-cost
 residual cycle until none is left (Klein 1967), which is exactly the
 condition for a flow to have minimum cost among flows of its value.
+It first tries to certify that no such cycle exists by one shortest-path
+search from vertex 0 (the reduced-cost optimality condition, Ahuja,
+Magnanti and Orlin 1993, ch. 9); in the suite generators' networks every
+state is reached from vertex 0, so a flow that is already optimal is
+proved so in about one pass over the arcs.
 
 ``solve_circulation`` handles per-edge lower bounds through the standard
 super-source / super-sink transformation, and for a minimum-cost
@@ -75,12 +82,49 @@ class FlowNetwork:
         the same value: a flow has minimum cost among flows of its value
         exactly when its residual network has no negative cycle.
         """
+        if self._no_negative_cycle():
+            return
         cap = self.cap
         while cycle := self._negative_cycle():
             bottleneck = min(cap[a] for a in cycle)
             for a in cycle:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
+
+    def _no_negative_cycle(self) -> bool:
+        """True when a search from vertex 0 alone proves that no negative residual cycle exists.
+
+        Queue-based Bellman-Ford from vertex 0, scanning arcs in insertion
+        order.  If it settles, no negative cycle passes through a vertex it
+        reached, and a cycle through one reached vertex passes only through
+        reached ones; so there is none when no residual arc joins two
+        unreached vertices.  False when a walk of n arcs still lowers a
+        distance (there is a negative cycle) or such an arc exists.
+        """
+        n, cap, cost, head, adj = self.n, self.cap, self.cost, self.head, self.adj
+        dist: list[int | None] = [None] * n
+        hops = [0] * n
+        dist[0] = 0
+        queued = [False] * n
+        queued[0] = True
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du, hu = dist[u], hops[u] + 1
+            for arc in adj[u]:
+                v = head[arc]
+                if cap[arc] > 0 and (dist[v] is None or du + cost[arc] < dist[v]):
+                    if hu >= n:
+                        return False  # a walk of n arcs that still lowers: a negative cycle
+                    dist[v], hops[v] = du + cost[arc], hu
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        return not any(
+            cap[arc] > 0 and dist[head[arc]] is None
+            for u in range(n) if dist[u] is None for arc in adj[u]
+        )
 
     def _negative_cycle(self) -> list[int]:
         """Arcs of one negative-cost residual cycle, or [] when none exists.
@@ -124,9 +168,13 @@ class FlowNetwork:
     def _blocking_flow(self, s: int, t: int) -> int:
         """One Dinic phase over the arcs with capacity left.
 
-        Builds BFS levels from ``s``, then pushes augmenting paths along
-        arcs that climb one level, visiting each vertex's arcs in insertion
-        order, until ``t`` is cut off.  Returns the units pushed.
+        Builds BFS levels from ``s`` up to the level of ``t``, then pushes
+        augmenting paths along arcs that climb one level, visiting each
+        vertex's arcs in insertion order, until ``t`` is cut off.  Vertices
+        beyond ``t``'s level stay unlabelled: like the others on that level,
+        they reach ``t`` by no climbing path.  After each path the walk resumes at the tail of
+        its first saturated arc, where a walk from ``s`` would turn away.
+        Returns the units pushed.
         """
         cap = self.cap
         head = self.head
@@ -134,7 +182,7 @@ class FlowNetwork:
         level = [-1] * self.n
         level[s] = 0
         frontier = [s]
-        while frontier:
+        while frontier and level[t] < 0:
             nxt = []
             for u in frontier:
                 for arc in adj[u]:
@@ -156,8 +204,9 @@ class FlowNetwork:
                     cap[a] -= bottleneck
                     cap[a ^ 1] += bottleneck
                 total += bottleneck
-                path = []
-                u = s
+                cut = next(k for k, a in enumerate(path) if not cap[a])
+                u = head[path[cut] ^ 1]
+                del path[cut:]
                 continue
             advanced = False
             while it[u] < len(adj[u]):
@@ -178,7 +227,7 @@ class FlowNetwork:
                 it[u] += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedEdge:
     """Circulation input edge with lower bound, capacity and cost."""
 

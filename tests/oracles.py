@@ -1,9 +1,12 @@
 """Independent reference solvers and serializer the package is checked against.
 
 Deliberately naive: these share no code or algorithmic structure with the
-production code, so agreement is meaningful.  The one exception is
-``fresh_replay_verdicts``, which reuses the runner's per-step check: what it
-checks is how paths are executed, not how a step is judged.
+production code, so agreement is meaningful.  Two exceptions:
+``fresh_replay_verdicts`` reuses the runner's per-step check, because what it
+checks is how paths are executed, not how a step is judged; and
+``DecodingStateParser`` builds each state part through ``canon.loads`` and the
+model types as the file reader does, because what it checks is how the reader
+finds a state's parts, not how a part is built.
 """
 
 from __future__ import annotations
@@ -154,3 +157,60 @@ def fresh_replay_verdicts(emulator_factory, suite) -> list:
                 break
         verdicts.append(verdict)
     return verdicts
+
+
+class DecodingStateParser:
+    """The graph reader's state parser before it looked parts up by their
+    slices of the text: every text is decoded whole as plain JSON, and each
+    part (actor tuple, ``alive``, ``globals``, each event) is rendered back
+    to text and built once per distinct rendered text."""
+
+    def __init__(self):
+        from actorcover import canon
+        from actorcover.actors import Event
+        from actorcover.model import ModelState
+
+        self._canon, self._event_type, self._state_type = canon, Event, ModelState
+        self._plain = json.JSONDecoder(parse_float=canon._no_float,
+                                       parse_constant=canon._no_float)
+        self._values: dict = {}
+        self._events: dict = {}
+
+    @staticmethod
+    def _render(plain) -> str:
+        return json.dumps(plain, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+    def _value(self, plain):
+        text = self._render(plain)
+        value = self._values.get(text)
+        if value is None:
+            value = self._values[text] = self._canon.loads(text)
+        return value
+
+    def _event(self, plain):
+        text = self._render(plain)
+        event = self._events.get(text)
+        if event is None:
+            event = self._events[text] = self._event_type.from_value(self._canon.loads(text))
+        return event
+
+    def _members(self, value):
+        tag = self._canon.SET_TAG
+        while type(value) is dict and tag in value:
+            if len(value) != 1:
+                raise ValueError(f"record key {tag!r} is reserved")
+            value = value[tag]
+        return value
+
+    def state(self, text: str):
+        plain = self._plain.decode(text)
+        if type(plain) is not dict or len(plain) != 4:
+            value = self._canon.loads(text)
+            if type(value) is not self._canon.Record:
+                raise TypeError(f"a state is a record, not {type(value).__name__}")
+        return self._state_type(
+            actors=self._value(plain["actors"]),
+            alive=self._value(plain["alive"]),
+            globals_=self._value(plain["globals"]),
+            events=frozenset(self._event(v) for v in self._members(plain["events"])),
+        )

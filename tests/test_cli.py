@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from actorcover import canon, dot
+from actorcover import canon, dot, suitefile
 from actorcover.actors import EXTERNAL, Action, Event
 from actorcover.cli import main
 from actorcover.explore import Edge, TransitionGraph
@@ -317,6 +317,16 @@ def vr_log(built, tmp_path_factory):
     assert main(["run", "--model", "vr", "--suite", str(built / "suite.ac1"),
                  "--mutant", "keep-phase2", "--replay-log", str(logs)]) == 1
     return sorted(logs.glob("*.replay"))[0]
+
+
+def test_replay_parses_its_log_once(vr_log, monkeypatch, capsys):
+    parsed = []
+    body_lines = suitefile._body_lines
+    monkeypatch.setattr(suitefile, "_body_lines",
+                        lambda path: parsed.append(path) or body_lines(path))
+    rc = cli(capsys, "replay", "--model", "vr", "--mutant", "keep-phase2", "--log", vr_log)[0]
+    assert rc == 1
+    assert parsed == [str(vr_log)]
 
 
 def test_replay_rejects_a_log_of_another_model(vr_log, capsys):

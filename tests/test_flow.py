@@ -163,7 +163,9 @@ def test_min_cost_circulation_matches_exhaustive_oracle():
     ([BoundedEdge(0, 1, 1, 1), BoundedEdge(1, 0, 0, 1, 5), BoundedEdge(1, 0, 0, 1)], 5, 0),
     # No lower bound at all: Dinic routes nothing round the negative triangle.
     ([BoundedEdge(0, 1, 0, 2, -1), BoundedEdge(1, 2, 0, 3, -1), BoundedEdge(2, 0, 0, 2, 1)], 0, -2),
-], ids=["dear-return-arc", "negative-triangle"])
+    # A negative cycle that vertex 0 cannot reach: its own search settles at once.
+    ([BoundedEdge(1, 2, 0, 2, -1), BoundedEdge(2, 1, 0, 2, -1)], 0, -4),
+], ids=["dear-return-arc", "negative-triangle", "cycle-unreached-from-vertex-0"])
 def test_cancelling_lowers_the_cost_of_the_dinic_circulation(bounded, plain_cost, min_cost):
     n = 1 + max(max(e.source, e.destination) for e in bounded)
     plain = solve_circulation(n, bounded)
@@ -171,3 +173,21 @@ def test_cancelling_lowers_the_cost_of_the_dinic_circulation(bounded, plain_cost
     _check_circulation(n, bounded, cheap)
     assert _cost(bounded, plain) == plain_cost
     assert _cost(bounded, cheap) == min_cost
+
+
+def test_the_search_from_vertex_0_never_misses_a_negative_cycle():
+    # Arbitrary residual networks: whenever the search from vertex 0 alone
+    # certifies that none exists, the search from every vertex finds none.
+    rng = random.Random(1993)
+    certified = 0
+    for trial in range(2000):
+        n = rng.randint(1, 6)
+        net = FlowNetwork(n)
+        for _ in range(rng.randint(0, 10)):
+            arc = net.add_edge(rng.randrange(n), rng.randrange(n), rng.randint(0, 2),
+                               rng.randint(-2, 3))
+            net.cap[arc ^ 1] = rng.randint(0, 1)  # some flow already on the arc
+        if net._no_negative_cycle():
+            certified += 1
+            assert net._negative_cycle() == [], f"trial {trial}"
+    assert 300 < certified < 1700

@@ -5,6 +5,9 @@ and ``run`` replays it; the CLI tests check that both reject a damaged
 graph at the same line.
 """
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -21,6 +24,7 @@ from actorcover.suitefile import (
 )
 from actorcover.systems.kv import _set_event
 from conftest import BENCH_MODELS
+from oracles import DecodingStateParser
 from test_canon import values
 
 
@@ -121,6 +125,142 @@ def test_actions_share_their_events_with_the_states():
     assert one.event == true.event and one.event is not true.event
     assert true.event in state.events and one.event in state.events
     assert_parts_shared_by_text([*_parts(state), deliver.event, *crash.drops, one.event, true.event])
+
+
+def _events_by_key(state: ModelState) -> list[Event]:
+    return sorted(state.events, key=Event.key)  # unequal events have unequal keys
+
+
+def parse_against_the_reference(texts) -> tuple[int, int, int]:
+    """Parse ``texts`` in turn with a ``StateParser`` and with the decode-only
+    reference; returns (accepted, rejected, states built from known parts).
+
+    Both accept and reject the same texts, with the same error; accepted
+    texts give equal states; and a part of one parser is one object exactly
+    where the other's is, so parts of equal text are the same object.
+    """
+    parser, reference = StateParser(), DecodingStateParser()
+    known = parser._known_parts
+    hits = 0
+
+    def counted(text):
+        nonlocal hits
+        state = known(text)
+        hits += state is not None
+        return state
+
+    parser._known_parts = counted
+    ours, theirs = {}, {}
+    accepted = rejected = 0
+    for text in texts:
+        try:
+            want = reference.state(text)
+        except (ValueError, TypeError, KeyError) as exc:
+            with pytest.raises(type(exc)) as info:
+                parser.state(text)
+            assert str(info.value) == str(exc), text
+            rejected += 1
+            continue
+        got = parser.state(text)
+        assert got == want, text
+        assert len(got.events) == len(want.events)
+        pairs = zip([got.actors, got.alive, got.globals_, *_events_by_key(got)],
+                    [want.actors, want.alive, want.globals_, *_events_by_key(want)])
+        for mine, its in pairs:
+            assert ours.setdefault(id(mine), its) is its, text
+            assert theirs.setdefault(id(its), mine) is mine, text
+        accepted += 1
+    return accepted, rejected, hits
+
+
+_MARKERS = [',"alive":', ',"events":{"$set":[', ']},"globals":', "},{", '"$set"', "null"]
+_NOISE = '{}[],:" 0123456789-tfnule\\$'
+
+
+def _parts_of(text: str) -> list[str]:
+    """A canonical state text's actors, alive, events and globals texts."""
+    plain = json.loads(text)
+    return [json.dumps(plain[key], sort_keys=True, separators=(",", ":"))
+            for key in ("actors", "alive", "events", "globals")]
+
+
+def _state_of(actors: str, alive: str, events: str, globals_: str) -> str:
+    return '{"actors":%s,"alive":%s,"events":%s,"globals":%s}' % (actors, alive, events, globals_)
+
+
+def damaged(rng: random.Random, texts: list[str]) -> str:
+    """One of ``texts``, often with one random edit: a character, a marker, or whole parts."""
+    text = rng.choice(texts)
+    at = rng.randrange(len(text))
+    how = rng.randrange(10)
+    if how == 0:
+        return text
+    if how == 1:
+        return text[:at] + text[at + 1:]
+    if how == 2:
+        return text[:at] + rng.choice(_NOISE) + text[at:]
+    if how == 3:
+        return text[:at] + rng.choice(_NOISE) + text[at + 1:]
+    if how == 4:
+        return text[:at] + rng.choice(_MARKERS) + text[at:]
+    parts = _parts_of(text)
+    other = _parts_of(rng.choice(texts))
+    if how == 5:  # one part from another state
+        k = rng.randrange(4)
+        parts[k] = other[k]
+    elif how == 6:  # one part where another belongs
+        k, j = rng.sample(range(4), 2)
+        parts[k] = other[j]
+    elif how == 7:  # the events shuffled, one repeated, or one dropped
+        members = json.loads(parts[2])["$set"]
+        if members:
+            rng.choice([rng.shuffle, lambda m: m.append(rng.choice(m)), list.pop])(members)
+        parts[2] = json.dumps({"$set": members}, sort_keys=True, separators=(",", ":"))
+    elif how == 8:  # the events as a plain array, or a part that is null
+        parts[rng.randrange(4)] = rng.choice(["null", parts[2][8:-1]])
+    else:  # spaces and unsorted keys: the same state in other text
+        plain = json.loads(_state_of(*parts))
+        return json.dumps(dict(reversed(plain.items())))
+    return _state_of(*parts)
+
+
+@pytest.mark.parametrize("name", ["vr", "kv-a3-s2-crash-drop"])
+def test_the_parser_agrees_with_the_reference_on_damaged_states(request, bench_graph, name):
+    # The conftest kv graph has 7 states; the bench one has 7,656.
+    _model, graph = bench_graph(name) if name in BENCH_MODELS else request.getfixturevalue(
+        f"{name}_graph")
+    texts = [state.text() for state in graph.states]
+    rng = random.Random(2512)
+    accepted, rejected, hits = parse_against_the_reference(
+        damaged(rng, texts) for _ in range(12_500))
+    assert accepted + rejected == 12_500
+    assert accepted > 5_000 and rejected > 2_500 and hits > 2_500, (accepted, rejected, hits)
+
+
+def _event_text(payload: str, source: int = -1) -> str:
+    return '{"destination":0,"kind":"K","payload":%s,"source":%d}' % (payload, source)
+
+
+@pytest.mark.parametrize("text", [
+    # "},{" inside an event, between its nested records and in a string.
+    _state_of("[]", "[]", '{"$set":[%s,%s]}' % (_event_text('[{"a":1},{"b":2}]'),
+                                                _event_text('"},{"', 0)), '{"g":1}'),
+    # ',"alive":' inside the actors' part, as a nested record's key.
+    _state_of('[{"a":1,"alive":true}]', "[true]", '{"$set":[]}', '{"g":1}'),
+    # ']},"globals":' inside the globals' part.
+    _state_of("[]", "[]", '{"$set":[%s]}' % _event_text("1"), '{"a":{"b":[1]},"globals":2}'),
+    # Not canonical: a space after each colon.
+    _state_of("[]", "[]", '{"$set":[%s]}' % _event_text("1"), '{"g":1}').replace(":", ": "),
+    # A set with a repeated member.
+    _state_of("[]", "[]", '{"$set":[%s,%s]}' % (_event_text("1"), _event_text("1")), '{"g":1}'),
+    # A part that is null.
+    _state_of("null", "[]", '{"$set":[]}', '{"g":1}'),
+], ids=["events-hold-records-and-a-string", "alive-key-in-actors", "globals-key-in-globals",
+        "spaces", "repeated-event", "null-actors"])
+def test_the_parser_agrees_with_the_reference_where_slices_mislead(text):
+    canonical = _state_of("[]", "[]", '{"$set":[%s]}' % _event_text("1"), '{"g":1}')
+    # Each text twice, so the second parse finds its parts known.
+    assert parse_against_the_reference([canonical, text, text, canonical])[:2] == (4, 0)
 
 
 class Unrenderable:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from actorcover.flow import FlowNetwork
 from actorcover.tsg import (
     CoverGraph,
     MalformedPathError,
@@ -243,6 +244,18 @@ def test_suites_are_pinned_path_for_path(request, graph_name, algorithm):
     else:
         _update(digest, generate(_cover(request.getfixturevalue(f"{graph_name}_graph"))))
     assert digest.hexdigest() == SUITE_DIGESTS[graph_name, algorithm]
+
+
+@pytest.mark.parametrize("name", ["vr", "kv"])
+def test_explored_min_suites_are_certified_by_one_search_from_the_initial_state(
+        request, monkeypatch, name):
+    # Every state is reached from state 1, so no search from every vertex is needed.
+    def search_from_every_vertex(self):
+        raise AssertionError("the search from vertex 0 did not settle")
+
+    monkeypatch.setattr(FlowNetwork, "_negative_cycle", search_from_every_vertex)
+    cover = _cover(request.getfixturevalue(f"{name}_graph"))
+    assert min_suite(cover).total_length == flow_suite(cover).total_length
 
 
 # sha256 of the 200 random min suites' total lengths, one decimal per line,
