@@ -232,6 +232,8 @@ def cmd_run(args) -> int:
         f"{len(report.verdicts)} paths in {report.wall_time:.3f}s "
         f"({report.replays_per_second:.0f} paths/s); "
         f"{report.steps_executed} of {sum(map(len, suite.paths))} steps executed"
+        + (f"; {len(report.replay_logs)} replay logs in {report.replay_files} files"
+           if args.replay_log is not None else "")
     )
     for verdict in report.verdicts:
         if not verdict.passed:
@@ -249,12 +251,12 @@ def cmd_replay(args) -> int:
     make = _emulator_maker(spec, args.mutant)
     if make is None:
         return USAGE_ERROR
-    try:
-        header = suitefile.read_header(args.log, ("replay",))
+    try:  # the log is read, hashed and parsed here, once
+        log = suitefile.read_replay_log(args.log)
     except MalformedInputError as exc:
         return _file_error(args.log, exc)
-    if header.model != spec.name:
-        print(f"error: log was written for model {header.model!r}, not {spec.name!r}",
+    if log.model != spec.name:
+        print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
               file=sys.stderr)
         return USAGE_ERROR
     expected_hash = None
@@ -264,13 +266,11 @@ def cmd_replay(args) -> int:
         except MalformedInputError as exc:
             return _file_error(args.suite, exc)
     try:
-        bounds = _bounds(spec, header.bounds)
+        bounds = _bounds(spec, log.bounds)
     except MalformedInputError as exc:
         return _file_error(args.log, exc)
-    try:  # the log's body is parsed here, once
-        verdict = replay(args.log, lambda: make(bounds), expected_hash)
-    except MalformedInputError as exc:
-        return _file_error(args.log, exc)
+    try:
+        verdict = replay(log, lambda: make(bounds), expected_hash)
     except LogVersionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -333,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--jobs", type=int, default=1, choices=[1], help=SINGLE_THREADED)
     p.add_argument("--fail-fast", action="store_true")
-    p.add_argument("--replay-log", help="directory for failure replay logs")
+    p.add_argument("--replay-log", metavar="DIR",
+                   help="directory for failure replay logs, one path_<id>.replay per "
+                   "failing path, each ending at the failing step; paths that fail on "
+                   "the same prefix share one file through hard links, so editing a "
+                   "log in place edits it for all of them")
     p.add_argument("--out", help="report file to write")
     p.add_argument("--mutant", help="run a seeded-bug implementation variant")
     p.set_defaults(func=cmd_run)

@@ -17,14 +17,21 @@ its own actions give on a fresh implementation, as ``replay`` runs them.
 
 Every failure can be written as a replay log: an AC1 file of kind
 ``replay`` (see ``suitefile``) holding the failing path's actions and
-expected states, with the suite's content hash and the path's id in its
-header.  ``replay`` checks the log's hash before it parses the log, then
-reproduces the identical verdict from the log alone.
+expected states up to its failing step, with the suite's content hash and
+a path id in its header.  The paths that fail at the same step of a
+shared prefix get the same verdict and the same log: one file, under the
+lowest of their ids and with that id in its header, hard-linked under the
+others' names (copied where the file system has no hard links).  Editing
+one of those files in place edits it for all of them.  ``replay`` checks
+the log's hash before it parses the log, then reproduces the identical
+status, step and detail from the log alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +40,7 @@ from typing import Callable
 from . import canon
 from .actors import Action, ActorFailure, Emulator, IllegalActionError, SystemState
 from .model import ModelState
-from .suitefile import SuiteFile, read_replay_log, write_replay_log
+from .suitefile import ReplayLog, SuiteFile, read_replay_log, write_replay_log
 
 PASS = "PASS"
 STATE_MISMATCH = "STATE_MISMATCH"
@@ -120,6 +127,9 @@ class RunReport:
     # Emulator steps the run executed; shared prefixes run once.  Not in
     # ``to_json``: the report records verdicts, not how they were reached.
     steps_executed: int = 0
+    # Distinct files behind ``replay_logs`` (hard links share one); not in
+    # ``to_json`` either.
+    replay_files: int = 0
 
     @property
     def all_passed(self) -> bool:
@@ -173,19 +183,21 @@ def _execute(
     return Verdict(path_id, PASS)
 
 
-def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], int]:
-    """Every path's verdict, in path-id order, and the steps executed.
+def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], dict[int, int], int]:
+    """Every path's verdict in path-id order, each failing path's lead, and the steps executed.
 
     Sorted by their edge-id lists, the paths that share a prefix form one
     contiguous range, in which a path that ends with the prefix comes
     first.  A stack entry ``(lo, hi, depth, saved)`` is such a range of
     ``order`` for a prefix of ``depth`` edges, with the emulator's state
     after that prefix (None: the emulator is in it already).  A failing
-    step ends every path of its range with the same verdict.
+    step ends every path of its range with the same verdict; the range's
+    lowest path id is the lead of each of them.
     """
     graph, paths = suite.graph, suite.paths
     order = sorted(range(len(paths)), key=paths.__getitem__)
     verdicts = [None] * len(paths)
+    leads = {}
     executed = 0
     stack = [(0, len(order), 0, None)]
     while stack:
@@ -213,10 +225,13 @@ def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], int]:
             failure = check_step(emulator, edge.action, graph.state(edge.destination))
             if failure is not None:
                 status, detail = failure
-                for path_id in order[lo:hi]:
+                ids = order[lo:hi]
+                lead = min(ids)
+                for path_id in ids:
                     verdicts[path_id] = Verdict(path_id, status, depth, detail)
+                    leads[path_id] = lead
                 break
-    return verdicts, executed
+    return verdicts, leads, executed
 
 
 def run_suite(
@@ -235,34 +250,56 @@ def run_suite(
 
     With ``fail_fast`` the report ends with the first failing path's
     verdict, and only the reported failures get replay logs.
+
+    Each failing path gets ``replay_dir/path_<id>.replay``.  The paths of
+    one failing range share it: its lead's log ends at the failing step,
+    and the others' names are hard links to it (copies where linking
+    fails).  An existing file of the same name is replaced, never written
+    through, so a link left by an earlier run keeps its bytes.
     """
     started = time.perf_counter()
-    verdicts, executed = _walk(emulator_factory(), suite)
+    verdicts, leads, executed = _walk(emulator_factory(), suite)
     if fail_fast:
         first = next((i for i, v in enumerate(verdicts) if not v.passed), len(verdicts))
         del verdicts[first + 1:]
-    logs = []
-    failed = [v.path_id for v in verdicts if not v.passed]
+    logs, files = [], 0
+    failed = [v for v in verdicts if not v.passed]
     if replay_dir is not None and failed:
-        Path(replay_dir).mkdir(parents=True, exist_ok=True)
-        for path_id in failed:
-            logs.append(str(Path(replay_dir) / f"path_{path_id}.replay"))
-            write_replay_log(logs[-1], suite, path_id)
+        directory = Path(replay_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        for v in failed:  # in path-id order: a lead comes before the rest of its range
+            log = directory / f"path_{v.path_id}.replay"
+            lead = directory / f"path_{leads[v.path_id]}.replay"
+            log.unlink(missing_ok=True)
+            if log == lead:
+                write_replay_log(log, suite, v.path_id, v.failing_step)
+                files += 1
+            else:
+                try:
+                    os.link(lead, log)
+                except OSError:  # no hard links on this file system
+                    shutil.copyfile(lead, log)
+                    files += 1
+            logs.append(str(log))
     elapsed = time.perf_counter() - started
     totals = {status: 0 for status in STATUSES}
     for v in verdicts:
         totals[v.status] += 1
     rate = len(verdicts) / elapsed if elapsed > 0 else 0.0
-    return RunReport(totals, verdicts, elapsed, rate, logs, executed)
+    return RunReport(totals, verdicts, elapsed, rate, logs, executed, files)
 
 
 def replay(
-    log_path,
+    log,
     emulator_factory: Callable[[], Emulator],
     expected_suite_hash: str | None = None,
 ) -> Verdict:
-    """Re-execute a logged path; reproduces the original verdict exactly."""
-    log = read_replay_log(log_path)
+    """Re-execute a logged path; reproduces the original verdict exactly.
+
+    ``log`` is a ``ReplayLog`` or the path of a log file to read.
+    """
+    if not isinstance(log, ReplayLog):
+        log = read_replay_log(log)
     if expected_suite_hash is not None and log.suite_hash != expected_suite_hash:
         raise LogVersionMismatchError(
             f"log pinned to suite {log.suite_hash[:12]}, current is {expected_suite_hash[:12]}"

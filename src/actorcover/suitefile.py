@@ -43,11 +43,16 @@ stats, the stats extended with ``paths`` and ``total_length``.  A suite of
 a plain edge list has ``model=none``, pins the sha256 of the edge list's
 bytes, and cannot be run.
 
-A replay log is one path of a suite, self-contained: each R line holds a
-step's action, the index of the state it reaches and that state, so the
-log replays without the suite or its graph.  Its header copies the
-suite's model, bounds and stats, the stats extended with ``path`` (the
-path's id), ``steps`` and ``suite`` (the suite's content hash).
+A replay log is the prefix of a suite path that ends at the path's
+failing step, self-contained: each R line holds a step's action, the
+index of the state it reaches and that state, so the log replays without
+the suite or its graph.  Its header copies the suite's model, bounds and
+stats, the stats extended with ``path`` (the path's id), ``steps`` (the
+failing step) and ``suite`` (the suite's content hash).  Paths that fail
+at the same step of a shared prefix share one log: ``run --replay-log``
+writes it once, under the lowest of their ids, and hard-links it under
+the others' names, so ``path`` names that lowest id and editing the file
+in place edits it for all of them.
 
 Migration: suite files from before edge-id paths copied every state (S
 lines) and step action (P lines); they are rejected at their first S line
@@ -173,12 +178,12 @@ def write_suite_file(path, graph_path, graph: Header, suite: TestSuite) -> str:
     return _write(path, "suite", graph.model, graph.bounds, stats, lines)
 
 
-def write_replay_log(path, suite: SuiteFile, path_id: int) -> str:
-    """Write path ``path_id`` of ``suite`` as a replay log; returns its content hash.
+def write_replay_log(path, suite: SuiteFile, path_id: int, steps: int) -> str:
+    """Write the first ``steps`` steps of path ``path_id`` of ``suite`` as a replay log.
 
-    The log's directory must exist.
+    Returns the log's content hash.  The log's directory must exist.
     """
-    header, graph, eids = suite.header, suite.graph, suite.paths[path_id]
+    header, graph, eids = suite.header, suite.graph, suite.paths[path_id][:steps]
     lines = (
         f"R\t{edge.action.key()}\t{edge.destination}\t{graph.state(edge.destination).key()}"
         for edge in map(graph.edges.__getitem__, eids)

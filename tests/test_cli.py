@@ -320,13 +320,16 @@ def vr_log(built, tmp_path_factory):
 
 
 def test_replay_parses_its_log_once(vr_log, monkeypatch, capsys):
-    parsed = []
-    body_lines = suitefile._body_lines
+    parsed, hashed = [], []
+    body_lines, read_header = suitefile._body_lines, suitefile.read_header
     monkeypatch.setattr(suitefile, "_body_lines",
                         lambda path: parsed.append(path) or body_lines(path))
+    monkeypatch.setattr(suitefile, "read_header",
+                        lambda path, *kinds: hashed.append(path) or read_header(path, *kinds))
     rc = cli(capsys, "replay", "--model", "vr", "--mutant", "keep-phase2", "--log", vr_log)[0]
     assert rc == 1
     assert parsed == [str(vr_log)]
+    assert hashed == [str(vr_log)]
 
 
 def test_replay_rejects_a_log_of_another_model(vr_log, capsys):
@@ -418,6 +421,29 @@ def test_stats_answers_for_a_replay_log_from_its_header(built, vr_log, capsys):
                         f"suite={suite_hash}")
 
 
+def test_run_counts_its_logs_and_replays_a_shared_one(work, capsys):
+    suite, logs = work / "suite.ac1", work / "logs"
+    rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite,
+                        "--mutant", "keep-phase2", "--replay-log", logs)
+    assert rc == 1
+    totals, summary = out.splitlines()[:2]
+    assert json.loads(totals)["STATE_MISMATCH"] == 75
+    assert re.fullmatch(r"108 paths in \S+s \(\d+ paths/s\); 378 of 1056 steps executed; "
+                        r"75 replay logs in 55 files", summary)
+    # A name linked to another path's log replays as that path, to the same failure.
+    link = next(p for p in sorted(logs.iterdir()) if p.stat().st_nlink > 1
+                and read_header(p).stats["path"] != int(p.stem.removeprefix("path_")))
+    lead = logs / f"path_{read_header(link).stats['path']}.replay"
+    assert link.stat().st_ino == lead.stat().st_ino
+    rc, out, _err = cli(capsys, "replay", "--model", "vr", "--mutant", "keep-phase2",
+                        "--suite", suite, "--log", link)
+    assert rc == 1
+    replayed = json.loads(out)
+    assert replayed["path"] == int(lead.stem.removeprefix("path_"))
+    assert cli(capsys, "replay", "--model", "vr", "--mutant", "keep-phase2",
+               "--suite", suite, "--log", lead)[1] == out
+
+
 def test_replay_checks_the_suite_hash(work, capsys):
     suite = work / "suite.ac1"
     logs = work / "logs"
@@ -485,13 +511,17 @@ def test_stats_rejects_a_tampered_file(work, capsys):
 # conftest vr bounds: the report, then each replay log's name and bytes.
 # Taken before graph files were read into a TransitionGraph; the three that
 # write logs were taken again when replay logs got the AC1 header, after
-# checking that every report and every log's R lines stayed byte-identical.
+# checking that every report and every log's R lines stayed byte-identical,
+# and again when logs came to end at the failing step and be shared by the
+# paths failing on one prefix, after checking that every report and every
+# log name stayed byte-identical and that each log's R lines are the first
+# ``steps`` R lines of the previous full-path log of the path its header names.
 RUN_DIGESTS = {
     "correct": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
-    "keep-phase2": "8d33cee21b62230b2e66d84ae34447b9cf30a35786dd3e98c5a7cbf9efae1c17",
-    "no-commit-broadcast": "21ae3b51859334d4d1d456f6b1ca2926293c9f759935070e57c164492be27c9a",
+    "keep-phase2": "3e09bc173744b98016d7e56c01c464b28864560f7812dd0091abd94b8e49e82c",
+    "no-commit-broadcast": "0bb83d5d964184dc2dd9025bd58928ab2beeedf40f0720c3d68314f03bc15106",
     "prepend-entry": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
-    "skip-commit": "08b6859469907e2daea0562639b989720b19730c5222e22eb9a67aa3faa26a79",
+    "skip-commit": "110bbf9a7bec94ad058f313599c9f035a492fedd2d4cc8e627b3bb10b37785f8",
     "stale-prepare": "ba9318268953a67e659ae8e2ef49c1d22ddcb752fdcc2daa1ea7bb44c035f198",
 }
 

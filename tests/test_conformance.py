@@ -6,6 +6,8 @@ The prefix-sharing runner's verdicts are checked against fresh per-path
 replay (``oracles.fresh_replay_verdicts``).
 """
 
+import errno
+import os
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from actorcover.conformance import (
     replay,
     run_suite,
 )
-from actorcover.suitefile import SuiteFile
+from actorcover.suitefile import SuiteFile, read_header
 from actorcover.systems import get_system
 from actorcover.systems.kv import SET_REQUEST, KvActor, make_emulator as kv_emulator
 from actorcover.tsg import baseline_suite, min_suite
@@ -60,9 +62,27 @@ def test_every_path_passes_against_the_correct_emulator(request, suite, factory)
     assert [v.path_id for v in report.verdicts] == list(range(len(suite.paths)))
 
 
+def failing_prefix(suite, verdict):
+    """The edge ids of a failing path up to and including its failing step."""
+    return tuple(suite.paths[verdict.path_id][:verdict.failing_step])
+
+
+def failing_prefixes(suite, verdicts):
+    """Failing prefix -> the ids of the paths that fail on it, from the verdicts alone."""
+    sharing = {}
+    for v in verdicts:
+        if not v.passed:
+            sharing.setdefault(failing_prefix(suite, v), []).append(v.path_id)
+    return sharing
+
+
 @pytest.mark.parametrize("mutant", sorted(KILL_MATRIX))
 def test_vr_kill_matrix_and_replay_logs(vr_min_suite, mutant, tmp_path):
-    """Each killed path's replay log, replayed with the mutant, gives the same verdict."""
+    """Each killed path's replay log, replayed with the mutant, gives the same verdict.
+
+    Paths that fail on one prefix share its log, whose header names the
+    lowest of their ids: the replay is that path's verdict.
+    """
     assert len(vr_min_suite.paths) == 108
     factory = mutant_factory(mutant)
     report = run_suite(factory, vr_min_suite, replay_dir=str(tmp_path))
@@ -72,8 +92,92 @@ def test_vr_kill_matrix_and_replay_logs(vr_min_suite, mutant, tmp_path):
     assert report.totals == expected
     failed = [v for v in report.verdicts if not v.passed]
     assert len(report.replay_logs) == len(failed)
+    sharing = failing_prefixes(vr_min_suite, report.verdicts)
     for verdict, log in zip(failed, report.replay_logs):
-        assert replay(log, factory, vr_min_suite.header.content_hash) == verdict
+        replayed = replay(log, factory, vr_min_suite.header.content_hash)
+        assert (replayed.status, replayed.failing_step, replayed.detail) == (
+            verdict.status, verdict.failing_step, verdict.detail)
+        lowest = min(sharing[failing_prefix(vr_min_suite, verdict)])
+        assert read_replay_log(log).path_id == lowest
+        assert replayed == report.verdicts[lowest]
+
+
+KILLING_MUTANTS = sorted(m for m, kills in KILL_MATRIX.items() if kills)
+
+
+@pytest.mark.parametrize("mutant", KILLING_MUTANTS)
+def test_one_log_file_per_failing_prefix(vr_min_suite, mutant, tmp_path):
+    report = run_suite(mutant_factory(mutant), vr_min_suite, replay_dir=str(tmp_path))
+    sharing = failing_prefixes(vr_min_suite, report.verdicts)
+    inodes = {os.stat(log).st_ino for log in report.replay_logs}
+    assert len(inodes) == len(sharing) == report.replay_files < len(report.replay_logs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(log).name for log in report.replay_logs)
+    for ids in sharing.values():
+        assert len({os.stat(tmp_path / f"path_{i}.replay").st_ino for i in ids}) == 1
+
+
+def test_a_shared_log_names_the_lowest_id_in_any_path_order(vr_min_suite, tmp_path):
+    suite = SuiteFile(vr_min_suite.header, vr_min_suite.graph, vr_min_suite.paths[::-1])
+    report = run_suite(mutant_factory("keep-phase2"), suite, replay_dir=str(tmp_path))
+    sharing = failing_prefixes(suite, report.verdicts)
+    assert report.replay_files == len(sharing) < len(report.replay_logs)
+    for verdict, log in zip([v for v in report.verdicts if not v.passed], report.replay_logs):
+        assert read_replay_log(log).path_id == min(sharing[failing_prefix(suite, verdict)])
+
+
+@pytest.mark.parametrize("mutant", KILLING_MUTANTS)
+def test_a_log_ends_at_its_failing_step(vr_min_suite, mutant, tmp_path):
+    report = run_suite(mutant_factory(mutant), vr_min_suite, replay_dir=str(tmp_path))
+    graph = vr_min_suite.graph
+    for verdict, log in zip([v for v in report.verdicts if not v.passed], report.replay_logs):
+        assert read_header(log).stats["steps"] == verdict.failing_step
+        steps = read_replay_log(log).steps
+        edges = [graph.edges[eid] for eid in failing_prefix(vr_min_suite, verdict)]
+        assert [(a.key(), dest, state) for a, dest, state in steps] == [
+            (e.action.key(), e.destination, graph.state(e.destination)) for e in edges]
+
+
+@pytest.mark.parametrize("mutant", KILLING_MUTANTS)
+def test_logs_are_copies_where_links_fail(vr_min_suite, mutant, tmp_path, monkeypatch):
+    factory = mutant_factory(mutant)
+    linked = run_suite(factory, vr_min_suite, replay_dir=str(tmp_path / "linked"))
+
+    def refuse(*_args, **_kwargs):
+        raise OSError(errno.EPERM, "no hard links here")
+
+    monkeypatch.setattr(os, "link", refuse)
+    copied = run_suite(factory, vr_min_suite, replay_dir=str(tmp_path / "copied"))
+    assert copied.to_json() == linked.to_json().replace("/linked/", "/copied/")
+    assert [Path(p).read_bytes() for p in copied.replay_logs] == [
+        Path(p).read_bytes() for p in linked.replay_logs]
+    inodes = {os.stat(log).st_ino for log in copied.replay_logs}
+    assert len(inodes) == copied.replay_files == len(copied.replay_logs)
+
+
+@pytest.mark.parametrize("mutant", KILLING_MUTANTS)
+def test_fail_fast_writes_one_log(vr_min_suite, mutant, tmp_path):
+    report = run_suite(mutant_factory(mutant), vr_min_suite, fail_fast=True,
+                       replay_dir=str(tmp_path))
+    assert report.replay_files == len(report.replay_logs) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [Path(report.replay_logs[0]).name]
+
+
+def test_a_second_run_replaces_the_logs_of_the_first(vr_min_suite, tmp_path):
+    """A link left by an earlier run in the same directory is replaced, not written through."""
+    first = run_suite(mutant_factory("keep-phase2"), vr_min_suite, replay_dir=str(tmp_path))
+    before = {log: Path(log).read_bytes() for log in first.replay_logs}
+    factory = mutant_factory("skip-commit")
+    second = run_suite(factory, vr_min_suite, replay_dir=str(tmp_path))
+    assert set(first.replay_logs) - set(second.replay_logs)
+    for log in set(first.replay_logs) - set(second.replay_logs):
+        assert Path(log).read_bytes() == before[log]
+    verdicts = {v.path_id: v for v in second.verdicts}
+    for log in second.replay_logs:
+        verdict = verdicts[int(Path(log).stem.removeprefix("path_"))]
+        replayed = replay(log, factory)
+        assert (replayed.status, replayed.failing_step, replayed.detail) == (
+            verdict.status, verdict.failing_step, verdict.detail)
 
 
 def test_a_replay_log_shares_the_parts_of_equal_text(vr_min_suite, tmp_path):
