@@ -82,6 +82,8 @@ class StateDiff:
 def compare_states(impl: SystemState, model: ModelState) -> StateDiff:
     """Exact structural comparison on canonical forms; no tolerances."""
     out = StateDiff()
+    if len(impl.actors) != len(model.actors):
+        out.actor_diffs.append(("actor count", len(impl.actors), len(model.actors)))
     for i, (got, want) in enumerate(zip(impl.actors, model.actors)):
         out.actor_diffs.extend(canon.diff(got, want, f"actor {i}"))
     for i, (got, want) in enumerate(zip(impl.alive, model.alive)):

@@ -9,11 +9,12 @@ resumes at the path's first saturated arc.
 changing any vertex's balance: it pushes flow around a negative-cost
 residual cycle until none is left (Klein 1967), which is exactly the
 condition for a flow to have minimum cost among flows of its value.
-It first tries to certify that no such cycle exists by one shortest-path
-search from vertex 0 (the reduced-cost optimality condition, Ahuja,
-Magnanti and Orlin 1993, ch. 9); in the suite generators' networks every
-state is reached from vertex 0, so a flow that is already optimal is
-proved so in about one pass over the arcs.
+One queue-based Bellman-Ford search (``_negative_cycle``) finds those
+cycles: first from vertex 0 alone, which certifies a flow that has none
+(the reduced-cost optimality condition, Ahuja, Magnanti and Orlin 1993,
+ch. 9) in about one pass over the arcs, because in the suite generators'
+networks every state is reached from vertex 0; otherwise from every
+vertex at once, once per cycle cancelled.
 
 ``solve_circulation`` handles per-edge lower bounds through the standard
 super-source / super-sink transformation, and for a minimum-cost
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class InfeasibleCirculationError(Exception):
@@ -80,34 +82,43 @@ class FlowNetwork:
         by at least 1, and that cost is bounded below because capacities
         are finite, so the loop ends, and it ends at a minimum-cost flow of
         the same value: a flow has minimum cost among flows of its value
-        exactly when its residual network has no negative cycle.
+        exactly when its residual network has no negative cycle.  A search
+        from vertex 0 that settles rules out every cycle through a vertex
+        it reached, so it certifies the flow unless a residual arc joins two
+        unreached vertices; otherwise cycles are found from every vertex.
         """
-        if self._no_negative_cycle():
+        n, cap, head, adj = self.n, self.cap, self.head, self.adj
+        cycle, dist = self._negative_cycle([0])
+        if not cycle and not any(
+            cap[arc] > 0 and dist[head[arc]] is None
+            for u in range(n) if dist[u] is None for arc in adj[u]
+        ):
             return
-        cap = self.cap
-        while cycle := self._negative_cycle():
+        while cycle := self._negative_cycle(range(n))[0]:
             bottleneck = min(cap[a] for a in cycle)
             for a in cycle:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
 
-    def _no_negative_cycle(self) -> bool:
-        """True when a search from vertex 0 alone proves that no negative residual cycle exists.
+    def _negative_cycle(self, starts: Iterable[int]) -> tuple[list[int], list[int | None]]:
+        """Arcs of one negative-cost residual cycle (or []), and the distances.
 
-        Queue-based Bellman-Ford from vertex 0, scanning arcs in insertion
-        order.  If it settles, no negative cycle passes through a vertex it
-        reached, and a cycle through one reached vertex passes only through
-        reached ones; so there is none when no residual arc joins two
-        unreached vertices.  False when a walk of n arcs still lowers a
-        distance (there is a negative cycle) or such an arc exists.
+        Queue-based Bellman-Ford (SPFA) from every vertex of ``starts`` at
+        distance 0, scanning arcs in insertion order; a distance is None
+        where no residual path from ``starts`` arrives.  ``hops[v]`` counts
+        the arcs of the walk that last lowered ``v``; a walk of n arcs
+        repeats a vertex it lowered twice, so the graph has a negative
+        cycle, and it is taken from the predecessor chain, where every
+        cycle is negative.
         """
         n, cap, cost, head, adj = self.n, self.cap, self.cost, self.head, self.adj
         dist: list[int | None] = [None] * n
         hops = [0] * n
-        dist[0] = 0
+        pred = [-1] * n  # the arc that last lowered each vertex
         queued = [False] * n
-        queued[0] = True
-        queue = deque([0])
+        queue = deque(starts)
+        for s in queue:
+            dist[s], queued[s] = 0, True
         while queue:
             u = queue.popleft()
             queued[u] = False
@@ -115,40 +126,7 @@ class FlowNetwork:
             for arc in adj[u]:
                 v = head[arc]
                 if cap[arc] > 0 and (dist[v] is None or du + cost[arc] < dist[v]):
-                    if hu >= n:
-                        return False  # a walk of n arcs that still lowers: a negative cycle
-                    dist[v], hops[v] = du + cost[arc], hu
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
-        return not any(
-            cap[arc] > 0 and dist[head[arc]] is None
-            for u in range(n) if dist[u] is None for arc in adj[u]
-        )
-
-    def _negative_cycle(self) -> list[int]:
-        """Arcs of one negative-cost residual cycle, or [] when none exists.
-
-        Queue-based Bellman-Ford (SPFA) from every vertex at distance 0,
-        scanning arcs in insertion order.  ``hops[v]`` counts the arcs of
-        the walk that last lowered ``v``; a walk of n arcs repeats a vertex
-        it lowered twice, so the graph has a negative cycle, and it is
-        taken from the predecessor chain, where every cycle is negative.
-        """
-        n, cap, cost, head, adj = self.n, self.cap, self.cost, self.head, self.adj
-        dist = [0] * n
-        hops = [0] * n
-        pred = [-1] * n  # the arc that last lowered each vertex
-        queued = [True] * n
-        queue = deque(range(n))
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            du, hu = dist[u], hops[u] + 1
-            for arc in adj[u]:
-                v = head[arc]
-                if cap[arc] > 0 and (dv := du + cost[arc]) < dist[v]:
-                    dist[v], hops[v], pred[v] = dv, hu, arc
+                    dist[v], hops[v], pred[v] = du + cost[arc], hu, arc
                     if hu >= n:
                         w = v
                         for _ in range(n):
@@ -159,11 +137,11 @@ class FlowNetwork:
                             cycle = [pred[w]]
                             while head[cycle[-1] ^ 1] != w:
                                 cycle.append(pred[head[cycle[-1] ^ 1]])
-                            return cycle
+                            return cycle, dist
                     if not queued[v]:
                         queued[v] = True
                         queue.append(v)
-        return []
+        return [], dist
 
     def _blocking_flow(self, s: int, t: int) -> int:
         """One Dinic phase over the arcs with capacity left.

@@ -39,7 +39,9 @@ A suite holds only what its graph does not.  The G line names the graph
 file relative to the suite's directory and pins the graph's hash, so the
 suite's hash covers the graph too; a missing or changed graph is rejected
 at the G line.  The suite header copies the graph's model, bounds and
-stats, the stats extended with ``paths`` and ``total_length``.  A suite of
+stats, the stats extended with ``paths`` and ``total_length``; no hash
+covers a header, so a suite whose model or bounds differ from its graph's
+is rejected at the G line too.  A suite of
 a plain edge list has ``model=none``, pins the sha256 of the edge list's
 bytes, and cannot be run.
 
@@ -451,7 +453,9 @@ def read_replay_log(path) -> ReplayLog:
     return ReplayLog(header.model, header.bounds, suite_hash, path_id, steps)
 
 
-def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> TransitionGraph:
+def _pinned_graph(
+    suite_header: Header, directory: Path, fields: list[str], lineno: int
+) -> TransitionGraph:
     if len(fields) != 3:
         raise MalformedInputError(lineno, "G line needs a graph file and its content hash")
     name, pinned = fields[1], fields[2]
@@ -465,13 +469,21 @@ def _pinned_graph(directory: Path, fields: list[str], lineno: int) -> Transition
             f"graph file {name} has content hash {header.content_hash[:12]}, "
             f"the suite pins {pinned[:12]}; regenerate the suite with `actorcover gensuite`",
         )
+    # The content hash leaves the headers out, so they are compared by canonical text.
+    in_graph = f"model={header.model} bounds={canon.dumps(header.bounds)}"
+    in_suite = f"model={suite_header.model} bounds={canon.dumps(suite_header.bounds)}"
+    if in_graph != in_suite:
+        raise MalformedInputError(
+            lineno, f"graph file {name} has {in_graph}, the suite header says {in_suite}"
+        )
     return graph
 
 
 def read_suite_file(path) -> SuiteFile:
     """Load a suite and the graph file its G line pins.
 
-    Every path must start at state 1 and chain edge to edge through the graph.
+    The graph's header must name the suite header's model and bounds, and
+    every path must start at state 1 and chain edge to edge through the graph.
     """
     path = Path(path)
     header = read_header(path, ("suite",))
@@ -487,7 +499,7 @@ def read_suite_file(path) -> SuiteFile:
                 "regenerate it with `actorcover gensuite`",
             )
         if fields[0] == "G" and graph is None:
-            graph = _pinned_graph(path.parent, fields, lineno)
+            graph = _pinned_graph(header, path.parent, fields, lineno)
             continue
         if fields[0] != "P" or graph is None:
             raise MalformedInputError(

@@ -9,8 +9,9 @@ of root-anchored paths that together traverse every edge at least once:
 ``flow_suite``
     add a zero-lower-bound return edge from every vertex back to the
     source, require one unit on every original edge, solve the resulting
-    circulation with a max-flow solver, duplicate edges by their flow and
-    split the Eulerian circuit at return edges.
+    circulation with a max-flow solver, walk an Eulerian circuit that
+    takes each edge as many times as its flow, and split it at return
+    edges.
 ``min_suite``
     the same reduction solved as a minimum-cost circulation (original
     edges cost 1, return edges cost 0), which makes the summed path
@@ -136,31 +137,41 @@ def baseline_suite(graph: CoverGraph) -> TestSuite:
     return TestSuite(paths)
 
 
-def euler_circuit(n: int, edges: list[tuple[int, int]], start: int) -> list[int]:
-    """Edge-id circuit from ``start`` using every edge exactly once.
+def euler_circuit(
+    n: int, edges: list[tuple[int, int]], counts: list[int], start: int
+) -> list[int]:
+    """Edge-id circuit from ``start`` using edge k exactly ``counts[k]`` times.
 
-    Hierholzer's construction; requires in-degree == out-degree everywhere
-    and all edges reachable from ``start``.  Ties break by ascending id.
+    Hierholzer's construction over the multigraph with ``counts[k]`` copies
+    of edge k, without building it: a vertex's edges are taken by ascending
+    id, and an edge's copies one after another.  Requires in-degree ==
+    out-degree everywhere and every used edge reachable from ``start``;
+    edges of count 0 are ignored.
     """
     out: list[list[int]] = [[] for _ in range(n + 1)]
     degree = [0] * (n + 1)
-    for eid, (u, v) in enumerate(edges):
-        out[u].append(eid)
-        degree[u] += 1
-        degree[v] -= 1
+    for eid, ((u, v), count) in enumerate(zip(edges, counts)):
+        if count:
+            out[u].append(eid)
+            degree[u] += count
+            degree[v] -= count
     bad = [v for v in range(1, n + 1) if degree[v] != 0]
     if bad:
         raise UnbalancedDegreeError(f"in-degree != out-degree at vertices {bad}")
     for eids in out:
-        eids.reverse()  # pop() then yields ascending edge ids
+        eids.reverse()  # [-1] then yields ascending edge ids
 
+    left = list(counts)
     circuit: list[int] = []
     stack_v = [start]
     stack_e: list[int] = []
     while stack_v:
         u = stack_v[-1]
         if out[u]:
-            eid = out[u].pop()
+            eid = out[u][-1]
+            left[eid] -= 1
+            if not left[eid]:
+                out[u].pop()
             stack_v.append(edges[eid][1])
             stack_e.append(eid)
         else:
@@ -168,7 +179,7 @@ def euler_circuit(n: int, edges: list[tuple[int, int]], start: int) -> list[int]
             if stack_e:
                 circuit.append(stack_e.pop())
     circuit.reverse()
-    if len(circuit) != len(edges):
+    if len(circuit) != sum(counts):
         raise UnreachableVertexError("some edges are not reachable from the start vertex")
     return circuit
 
@@ -189,34 +200,19 @@ def _circulation_suite(graph: CoverGraph, minimize_cost: bool) -> TestSuite:
         return TestSuite([])
     cap = m + 1  # finite stand-in for unbounded capacity; m units always suffice
     bounded = [BoundedEdge(u - 1, v - 1, 1, cap, 1) for u, v in graph.edges]
-    for v in range(1, graph.n + 1):
-        bounded.append(BoundedEdge(v - 1, SOURCE - 1, 0, cap, 0))
+    bounded += [BoundedEdge(v - 1, SOURCE - 1, 0, cap, 0) for v in range(1, graph.n + 1)]
     flows = solve_circulation(graph.n, bounded, minimize_cost=minimize_cost)
+    # The return edges get ids >= m; listed after the solve, so not held at the network's peak.
+    edges = graph.edges + [(v, SOURCE) for v in range(1, graph.n + 1)]
 
-    # Duplicate each edge by its flow; return edges get ids >= m.
-    multi_edges: list[tuple[int, int]] = []
-    labels: list[int] = []
-    for eid in range(m):
-        for _ in range(flows[eid]):
-            multi_edges.append(graph.edges[eid])
-            labels.append(eid)
-    for k in range(m, len(bounded)):
-        e = bounded[k]
-        for _ in range(flows[k]):
-            multi_edges.append((e.source + 1, e.destination + 1))
-            labels.append(-1)  # return edge marker
-
-    circuit = euler_circuit(graph.n, multi_edges, SOURCE)
     paths: list[list[int]] = []
     current: list[int] = []
-    for instance in circuit:
-        label = labels[instance]
-        if label < 0:
-            if current:
-                paths.append(current)
-                current = []
-        else:
-            current.append(label)
+    for eid in euler_circuit(graph.n, edges, flows, SOURCE):
+        if eid < m:
+            current.append(eid)
+        elif current:
+            paths.append(current)
+            current = []
     if current:
         # The circuit ends back at the source; a trailing segment can only
         # exist when the last traversed edge is an original edge into s.

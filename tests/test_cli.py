@@ -235,6 +235,23 @@ def graph_bounds_damaged(work):
     return work / "suite.ac1"
 
 
+def edit_suite_header(work, old, new):
+    """A suite whose header names another model or bounds than its graph's."""
+    suite = work / "suite.ac1"
+    header, body = suite.read_bytes().split(b"\n", 1)
+    assert old in header  # the hash does not cover the header
+    suite.write_bytes(header.replace(old, new) + b"\n" + body)
+    return suite
+
+
+def suite_bounds_edited(work):
+    return edit_suite_header(work, b'"replicas":2', b'"replicas":3')
+
+
+def suite_model_edited(work):
+    return edit_suite_header(work, b"model=vr", b"model=kv")
+
+
 def edge_list_suite(work):
     (work / "edges.txt").write_text("1 2\n2 1\n2 3\n", encoding="utf-8")
     suite = work / "edges.ac1"
@@ -255,6 +272,9 @@ def edge_list_suite(work):
         (unknown_edge, 3, "edge 449 does not leave state 1"),
         (broken_chain, 3, "edge 0 does not leave state "),
         (graph_bounds_damaged, 1, "bad bounds: 'replicas'"),
+        (suite_bounds_edited, 2, '"replicas":2}, the suite header says model=vr '
+                                 'bounds={"max_queries":1,"max_views":1,"replicas":3}'),
+        (suite_model_edited, 2, "the suite header says model=kv bounds="),
     ],
 )
 def test_run_rejects_bad_suites_with_a_line_number(work, capsys, damage, line, says):

@@ -8,6 +8,7 @@ replay (``oracles.fresh_replay_verdicts``).
 
 import errno
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from actorcover.conformance import (
 from actorcover.suitefile import SuiteFile, read_header
 from actorcover.systems import get_system
 from actorcover.systems.kv import SET_REQUEST, KvActor, make_emulator as kv_emulator
+from actorcover.systems.vr import make_emulator as vr_emulator
 from actorcover.tsg import baseline_suite, min_suite
 
 from conftest import KV_BOUNDS, VR_BOUNDS
@@ -262,6 +264,13 @@ def test_a_failing_branch_leaves_its_siblings_passing(kv_min_suite):
     report = assert_walk_matches_fresh_replay(factory, kv_min_suite)
     assert 0 < report.totals[ACTOR_FAILURE] < len(kv_min_suite.paths)
     assert report.totals[PASS] + report.totals[ACTOR_FAILURE] == len(kv_min_suite.paths)
+
+
+def test_an_emulator_of_another_actor_count_is_told_by_its_detail(vr_min_suite):
+    report = run_suite(lambda: vr_emulator(replace(VR_BOUNDS, replicas=3)), vr_min_suite)
+    assert report.totals[STATE_MISMATCH] == len(vr_min_suite.paths)
+    assert {(v.failing_step, v.detail.split("; ")[0]) for v in report.verdicts} == {
+        (1, "actor count: implementation=3 model=2")}
 
 
 def test_each_shared_prefix_is_stepped_once(vr_min_suite, vr_factory):

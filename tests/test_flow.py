@@ -177,7 +177,8 @@ def test_cancelling_lowers_the_cost_of_the_dinic_circulation(bounded, plain_cost
 
 def test_the_search_from_vertex_0_never_misses_a_negative_cycle():
     # Arbitrary residual networks: whenever the search from vertex 0 alone
-    # certifies that none exists, the search from every vertex finds none.
+    # certifies that none exists, the search from every vertex finds none,
+    # and after cancelling none is left either way.
     rng = random.Random(1993)
     certified = 0
     for trial in range(2000):
@@ -187,7 +188,10 @@ def test_the_search_from_vertex_0_never_misses_a_negative_cycle():
             arc = net.add_edge(rng.randrange(n), rng.randrange(n), rng.randint(0, 2),
                                rng.randint(-2, 3))
             net.cap[arc ^ 1] = rng.randint(0, 1)  # some flow already on the arc
-        if net._no_negative_cycle():
-            certified += 1
-            assert net._negative_cycle() == [], f"trial {trial}"
+        searches = []
+        search = net._negative_cycle
+        net._negative_cycle = lambda starts: searches.append(list(starts)) or search(starts)
+        net.cancel_negative_cycles()
+        assert search(range(n))[0] == [], f"trial {trial}"
+        certified += searches == [[0]]
     assert 300 < certified < 1700

@@ -89,20 +89,41 @@ def test_baseline_fork_has_seven_paths():
 
 
 def test_euler_triangle():
-    circuit = euler_circuit(3, [(1, 2), (2, 3), (3, 1)], 1)
+    circuit = euler_circuit(3, [(1, 2), (2, 3), (3, 1)], [1, 1, 1], 1)
     assert circuit == [0, 1, 2]
 
 
 def test_euler_two_loops_sharing_source():
     edges = [(1, 2), (2, 1), (1, 3), (3, 1)]
-    circuit = euler_circuit(4, edges, 1)
+    circuit = euler_circuit(4, edges, [1, 1, 1, 1], 1)
     assert sorted(circuit) == [0, 1, 2, 3]
     assert len(circuit) == 4
 
 
 def test_euler_unbalanced_rejected():
     with pytest.raises(UnbalancedDegreeError):
-        euler_circuit(2, [(1, 2)], 1)
+        euler_circuit(2, [(1, 2)], [1], 1)
+
+
+def test_euler_uses_the_copies_of_an_edge_one_after_another():
+    assert euler_circuit(2, [(1, 1), (1, 2), (2, 1)], [3, 1, 1], 1) == [0, 0, 0, 1, 2]
+    # Back at vertex 1, edge 0's second copy comes before edge 2.
+    edges = [(1, 2), (2, 1), (2, 3), (3, 1), (1, 3)]
+    assert euler_circuit(3, edges, [2, 1, 1, 1, 0], 1) == [0, 1, 0, 2, 3]
+
+
+def test_euler_ignores_an_unreachable_edge_of_count_0():
+    assert euler_circuit(4, [(3, 4), (1, 2), (2, 1)], [0, 1, 1], 1) == [1, 2]
+
+
+def test_euler_rejects_counts_that_unbalance_a_vertex():
+    with pytest.raises(UnbalancedDegreeError):
+        euler_circuit(3, [(1, 2), (2, 3), (3, 1)], [2, 1, 1], 1)
+
+
+def test_euler_rejects_a_used_edge_out_of_reach():
+    with pytest.raises(UnreachableVertexError):
+        euler_circuit(3, [(1, 2), (2, 1), (3, 3)], [1, 1, 2], 1)
 
 
 def test_flow_suite_chain_single_path():
@@ -250,10 +271,13 @@ def test_suites_are_pinned_path_for_path(request, graph_name, algorithm):
 def test_explored_min_suites_are_certified_by_one_search_from_the_initial_state(
         request, monkeypatch, name):
     # Every state is reached from state 1, so no search from every vertex is needed.
-    def search_from_every_vertex(self):
-        raise AssertionError("the search from vertex 0 did not settle")
+    search = FlowNetwork._negative_cycle
 
-    monkeypatch.setattr(FlowNetwork, "_negative_cycle", search_from_every_vertex)
+    def search_from_vertex_0(self, starts):
+        assert starts == [0], "the search from vertex 0 did not settle"
+        return search(self, starts)
+
+    monkeypatch.setattr(FlowNetwork, "_negative_cycle", search_from_vertex_0)
     cover = _cover(request.getfixturevalue(f"{name}_graph"))
     assert min_suite(cover).total_length == flow_suite(cover).total_length
 
