@@ -14,17 +14,19 @@ from pathlib import Path
 import pytest
 
 from actorcover import canon
-from actorcover.actors import Emulator, EmulatorConfig
+from actorcover.actors import EXTERNAL, Action, Emulator, EmulatorConfig, Event, SystemState
 from actorcover.conformance import (
     ACTOR_FAILURE,
     EVENTS_MISMATCH,
     PASS,
     STATE_MISMATCH,
     STATUSES,
+    check_step,
     read_replay_log,
     replay,
     run_suite,
 )
+from actorcover.model import ModelState
 from actorcover.suitefile import SuiteFile, read_header
 from actorcover.systems import get_system
 from actorcover.systems.kv import SET_REQUEST, KvActor, make_emulator as kv_emulator
@@ -280,3 +282,51 @@ def test_each_shared_prefix_is_stepped_once(vr_min_suite, vr_factory):
     assert sum(map(len, paths)) == 1056
     # A failing step ends every path through it: fewer steps run.
     assert run_suite(mutant_factory("keep-phase2"), vr_min_suite).steps_executed < 501
+
+
+class _Snapshot:
+    """An emulator stand-in whose every step gives the same snapshot."""
+
+    def __init__(self, actors, alive, events):
+        self.snapshot = SystemState(tuple(map(canon.freeze, actors)), alive, frozenset(events))
+
+    def step(self, _action):
+        return self.snapshot
+
+
+SENT = Event("Ping", {"n": 1}, EXTERNAL, 0)
+LOST = Event("Ping", {"n": 2}, EXTERNAL, 1)
+STEP = Action.inject(SENT)
+
+
+def model_state(actors, alive, events):
+    return ModelState(tuple(map(canon.freeze, actors)), alive, canon.Record(), frozenset(events))
+
+
+@pytest.mark.parametrize(
+    "snapshot, expected, failure",
+    [
+        (([{"x": 1}], (True,), [SENT]), ([{"x": 1}], (True,), [SENT]), None),
+        (([{"x": 1}], (True,), [SENT]), ([{"x": 1}], (True,), [LOST]),
+         (EVENTS_MISMATCH, f"missing event {LOST.key()}; unexpected event {SENT.key()}")),
+        (([{"x": 1}, {"y": "a"}], (True, True), [SENT]),
+         ([{"x": 2}, {"y": "b"}], (True, True), [LOST]),
+         (STATE_MISMATCH, 'actor 0.x: implementation=1 model=2; '
+                          'actor 1.y: implementation="a" model="b"; '
+                          f"missing event {LOST.key()}; unexpected event {SENT.key()}")),
+        (([{"x": 1}], (True,), []), ([{"x": 3}], (True,), [LOST]),
+         (STATE_MISMATCH, f"actor 0.x: implementation=1 model=3; missing event {LOST.key()}")),
+        (([{"x": 1}, {"x": 1}], (True, False), []), ([{"x": 1}, {"x": 1}], (True, True), []),
+         (STATE_MISMATCH, "actor 1.alive: implementation=false model=true")),
+        (([{"x": 1}, {"x": 2}, {"x": 3}], (True, True, True), []),
+         ([{"x": 1}, {"x": 5}], (True, True), []),
+         (STATE_MISMATCH, "actor count: implementation=3 model=2; "
+                          "actor 1.x: implementation=2 model=5")),
+    ],
+    ids=["equal", "events-only", "actors-and-events", "actors-and-missing", "alive-only",
+         "actor-count"],
+)
+def test_check_step_tells_events_only_from_state_mismatches(snapshot, expected, failure):
+    """Events alone differing is EVENTS_MISMATCH; any other difference is STATE_MISMATCH,
+    detailed actors first, then missing events, then unexpected ones."""
+    assert check_step(_Snapshot(*snapshot), STEP, model_state(*expected)) == failure
