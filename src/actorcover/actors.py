@@ -1,10 +1,10 @@
 """Deterministic single-threaded actor emulation with fault injection.
 
-An :class:`Emulator` owns a fixed set of actors plus a store of unprocessed
-events and advances only through :meth:`Emulator.step`, one :class:`Action`
-at a time.  Replaying the same action sequence from ``reset`` always yields
-the same sequence of snapshots; there is no clock, no randomness and no
-thread anywhere in this module.
+An :class:`Emulator` owns a fixed number of actors, built by one factory,
+plus a store of unprocessed events and advances only through
+:meth:`Emulator.step`, one :class:`Action` at a time.  Replaying the same
+actions from ``reset`` always yields the same sequence of snapshots; there
+is no clock, no randomness and no thread anywhere in this module.
 
 Faults are actions too: events can be dropped or payload-corrupted, actors
 can be crashed (volatile state reset, deliveries refused) and restarted.
@@ -297,31 +297,23 @@ class EventStore:
         return out
 
 
-@dataclass
-class EmulatorConfig:
-    """Static shape of an emulated system."""
-
-    actor_count: int
-    actor_factory: Callable[[int, int], Actor]
-
-    def __post_init__(self):
-        if self.actor_count < 1:
-            raise ValueError("actor count must be >= 1")
-
-
 class Emulator:
     """Single-threaded emulation of one actor system.
 
-    Not reentrant and not thread-safe; run one instance per test path.
+    ``actor_factory(i, actor_count)`` builds actor ``i``.  Not reentrant
+    and not thread-safe; run one instance per test path.
     """
 
-    def __init__(self, config: EmulatorConfig):
-        self.config = config
+    def __init__(self, actor_count: int, actor_factory: Callable[[int, int], Actor]):
+        if actor_count < 1:
+            raise ValueError("actor count must be >= 1")
+        self.actor_count = actor_count
+        self.actor_factory = actor_factory
         self.reset()
 
     def reset(self) -> None:
-        n = self.config.actor_count
-        self.actors = [self.config.actor_factory(i, n) for i in range(n)]
+        n = self.actor_count
+        self.actors = [self.actor_factory(i, n) for i in range(n)]
         self.alive = [True] * n
         self.store = EventStore()
         self._images = [a.to_model() for a in self.actors]
@@ -363,7 +355,7 @@ class Emulator:
         return self.snapshot()
 
     def _check_actor(self, target) -> int:
-        if not isinstance(target, int) or not 0 <= target < self.config.actor_count:
+        if not isinstance(target, int) or not 0 <= target < self.actor_count:
             raise IllegalActionError(f"no such actor: {target!r}")
         return target
 

@@ -53,21 +53,10 @@ def _file_error(path, exc: Exception) -> int:
     return USAGE_ERROR
 
 
-def _make_bounds(spec, args):
-    faults = tuple(f for f in args.faults.split(",") if f)
-    return spec.make_bounds(
-        replicas=args.replicas,
-        max_queries=args.max_queries,
-        max_views=args.max_views,
-        max_gets=args.max_gets,
-        faults=faults,
-    )
-
-
 def cmd_explore(args) -> int:
     try:
         spec = get_system(args.model)
-        bounds = _make_bounds(spec, args)
+        bounds = spec.make_bounds(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -228,9 +217,10 @@ def cmd_run(args) -> int:
         except OSError as exc:
             return _file_error(args.out, exc)
     print(json.dumps(report.totals, sort_keys=True))
+    rate = len(report.verdicts) / report.wall_time if report.wall_time > 0 else 0.0
     print(
         f"{len(report.verdicts)} paths in {report.wall_time:.3f}s "
-        f"({report.replays_per_second:.0f} paths/s); "
+        f"({rate:.0f} paths/s); "
         f"{report.steps_executed} of {sum(map(len, suite.paths))} steps executed"
         + (f"; {len(report.replay_logs)} replay logs in {report.replay_files} files"
            if args.replay_log is not None else "")

@@ -5,8 +5,9 @@ implementation, projects the implementation with the actors' to-model
 mappings and requires exact structural equality with the edge's
 destination state in the suite's graph: actor by actor, liveness flag by
 liveness flag, and the unprocessed-event set as a set.  The first
-mismatching step ends the path with a structured diff; other paths keep
-running.
+mismatching step ends the path with a status (EVENTS_MISMATCH when only
+the events differ, else STATE_MISMATCH) and a detail that names each
+difference; other paths keep running.
 
 Paths that share a prefix share its execution: ``run_suite`` walks the
 paths in edge-id order on one emulator, saves the emulator's state where
@@ -56,46 +57,6 @@ class LogVersionMismatchError(Exception):
 
 
 @dataclass
-class StateDiff:
-    """Field-level comparison of implementation snapshot vs model state."""
-
-    actor_diffs: list[tuple[str, object, object]] = field(default_factory=list)
-    missing_events: list[str] = field(default_factory=list)
-    unexpected_events: list[str] = field(default_factory=list)
-
-    @property
-    def equal(self) -> bool:
-        return not (self.actor_diffs or self.missing_events or self.unexpected_events)
-
-    @property
-    def events_only(self) -> bool:
-        return not self.actor_diffs and not self.equal
-
-    def describe(self) -> str:
-        parts = [f"{path}: implementation={canon.dumps(a)} model={canon.dumps(b)}"
-                 for path, a, b in self.actor_diffs]
-        parts.extend(f"missing event {e}" for e in self.missing_events)
-        parts.extend(f"unexpected event {e}" for e in self.unexpected_events)
-        return "; ".join(parts)
-
-
-def compare_states(impl: SystemState, model: ModelState) -> StateDiff:
-    """Exact structural comparison on canonical forms; no tolerances."""
-    out = StateDiff()
-    if len(impl.actors) != len(model.actors):
-        out.actor_diffs.append(("actor count", len(impl.actors), len(model.actors)))
-    for i, (got, want) in enumerate(zip(impl.actors, model.actors)):
-        out.actor_diffs.extend(canon.diff(got, want, f"actor {i}"))
-    for i, (got, want) in enumerate(zip(impl.alive, model.alive)):
-        if got != want:
-            out.actor_diffs.append((f"actor {i}.alive", got, want))
-    if impl.events != model.events:
-        out.missing_events = sorted(e.key() for e in model.events - impl.events)
-        out.unexpected_events = sorted(e.key() for e in impl.events - model.events)
-    return out
-
-
-@dataclass
 class Verdict:
     path_id: int
     status: str
@@ -124,7 +85,6 @@ class RunReport:
     totals: dict[str, int]
     verdicts: list[Verdict]
     wall_time: float
-    replays_per_second: float
     replay_logs: list[str] = field(default_factory=list)
     # Emulator steps the run executed; shared prefixes run once.  Not in
     # ``to_json``: the report records verdicts, not how they were reached.
@@ -169,20 +129,25 @@ def check_step(
         and snapshot.events == expected.events
     ):
         return None
-    diff = compare_states(snapshot, expected)
-    return (EVENTS_MISMATCH if diff.events_only else STATE_MISMATCH), diff.describe()
+    return _mismatch(snapshot, expected)
 
 
-def _execute(
-    emulator: Emulator,
-    steps: list[tuple[Action, ModelState]],
-    path_id: int,
-) -> Verdict:
-    for step_index, (action, expected) in enumerate(steps, start=1):
-        failure = check_step(emulator, action, expected)
-        if failure is not None:
-            return Verdict(path_id, failure[0], step_index, failure[1])
-    return Verdict(path_id, PASS)
+def _mismatch(impl: SystemState, model: ModelState) -> tuple[str, str]:
+    """Status and detail of a snapshot that differs from the model's state: actor
+    differences, then missing events, then unexpected ones; no tolerances."""
+    diffs = []
+    if len(impl.actors) != len(model.actors):
+        diffs.append(("actor count", len(impl.actors), len(model.actors)))
+    for i, (got, want) in enumerate(zip(impl.actors, model.actors)):
+        diffs.extend(canon.diff(got, want, f"actor {i}"))
+    for i, (got, want) in enumerate(zip(impl.alive, model.alive)):
+        if got != want:
+            diffs.append((f"actor {i}.alive", got, want))
+    parts = [f"{path}: implementation={canon.dumps(a)} model={canon.dumps(b)}"
+             for path, a, b in diffs]
+    parts += ["missing event " + k for k in sorted(e.key() for e in model.events - impl.events)]
+    parts += ["unexpected event " + k for k in sorted(e.key() for e in impl.events - model.events)]
+    return (STATE_MISMATCH if diffs else EVENTS_MISMATCH), "; ".join(parts)
 
 
 def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], dict[int, int], int]:
@@ -287,8 +252,7 @@ def run_suite(
     totals = {status: 0 for status in STATUSES}
     for v in verdicts:
         totals[v.status] += 1
-    rate = len(verdicts) / elapsed if elapsed > 0 else 0.0
-    return RunReport(totals, verdicts, elapsed, rate, logs, executed, files)
+    return RunReport(totals, verdicts, elapsed, logs, executed, files)
 
 
 def replay(
@@ -306,5 +270,9 @@ def replay(
         raise LogVersionMismatchError(
             f"log pinned to suite {log.suite_hash[:12]}, current is {expected_suite_hash[:12]}"
         )
-    steps = [(action, state) for action, _dest, state in log.steps]
-    return _execute(emulator_factory(), steps, log.path_id)
+    emulator = emulator_factory()
+    for step_index, (action, _dest, expected) in enumerate(log.steps, start=1):
+        failure = check_step(emulator, action, expected)
+        if failure is not None:
+            return Verdict(log.path_id, failure[0], step_index, failure[1])
+    return Verdict(log.path_id, PASS)

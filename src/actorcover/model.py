@@ -11,7 +11,7 @@ unprocessed events -- plus model-only bookkeeping counters in ``globals_``
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from . import canon
@@ -30,6 +30,14 @@ class DuplicateEmissionError(Exception):
     could never stay equal afterwards.  Models must make every emission
     distinguishable (serial numbers, view numbers, distinct senders).
     """
+
+
+# The fixed texts around the parts of a canonical state text (``ModelState.text``),
+# at which ``suitefile.StateParser`` cuts a state's text into its parts.
+STATE_ACTORS = '{"actors":'
+STATE_ALIVE = ',"alive":'
+STATE_EVENTS = ',"events":{"%s":[' % canon.SET_TAG
+STATE_GLOBALS = ']},"globals":'
 
 
 @dataclass(frozen=True)
@@ -80,13 +88,13 @@ class ModelState:
         """
         return "".join(
             (
-                '{"actors":',
+                STATE_ACTORS,
                 canon.dumps(self.actors),
-                ',"alive":',
+                STATE_ALIVE,
                 canon.dumps(self.alive),
-                ',"events":{"%s":[' % canon.SET_TAG,
+                STATE_EVENTS,
                 ",".join(sorted(e.key() for e in self.events)),
-                ']},"globals":',
+                STATE_GLOBALS,
                 canon.dumps(self.globals_),
                 "}",
             )
@@ -137,10 +145,11 @@ class Model(ABC):
     """Init / enabled / apply / invariants over the emulator's action vocabulary."""
 
     name: str
+    bounds: object  # a dataclass of the exploration bounds
 
-    @abstractmethod
     def bounds_value(self) -> canon.Record:
-        """Exploration bounds as a canonical record (for file headers)."""
+        """Exploration bounds as a canonical record (for file headers), one key per field."""
+        return canon.Record(asdict(self.bounds))
 
     @abstractmethod
     def initial_state(self) -> ModelState:

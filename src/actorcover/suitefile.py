@@ -76,7 +76,7 @@ from typing import Iterable
 from . import canon
 from .actors import Action, Event
 from .explore import Edge, TransitionGraph
-from .model import ModelState
+from .model import STATE_ACTORS, STATE_ALIVE, STATE_EVENTS, STATE_GLOBALS, ModelState
 from .tsg import CoverGraph, TestSuite
 
 FORMAT_VERSION = "AC1"
@@ -194,8 +194,8 @@ def write_replay_log(path, suite: SuiteFile, path_id: int, steps: int) -> str:
     return _write(path, "replay", header.model, header.bounds, stats, lines)
 
 
-def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header:
-    """Parse a header line, then check the file's kind and its body's hash."""
+def _parse_header(line: bytes, kinds: tuple[str, ...]) -> Header:
+    """Parse a header line, then check the file's kind."""
     if not line:
         raise MalformedInputError(1, "empty file")
     fields = line.decode("utf-8", "replace").rstrip("\n").split("\t")
@@ -214,8 +214,6 @@ def _parse_header(line: bytes, kinds: tuple[str, ...], body_hash: str) -> Header
         raise MalformedInputError(1, f"bad header: {exc}") from exc
     if header.kind not in kinds:
         raise MalformedInputError(1, f"expected a {' or '.join(kinds)} file, found {header.kind}")
-    if body_hash != header.content_hash:
-        raise MalformedInputError(1, "content hash mismatch (file corrupted or truncated)")
     return header
 
 
@@ -224,12 +222,14 @@ def read_header(path, kinds: tuple[str, ...] = ("graph", "suite", "replay")) -> 
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:
-            line = handle.readline()
+            header = _parse_header(handle.readline(), kinds)
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(chunk)
     except OSError as exc:
         raise MalformedInputError(None, exc.strerror or str(exc)) from exc
-    return _parse_header(line, kinds, digest.hexdigest())
+    if digest.hexdigest() != header.content_hash:
+        raise MalformedInputError(1, "content hash mismatch (file corrupted or truncated)")
+    return header
 
 
 def decode_utf8(data: bytes, first_line: int = 1) -> str:
@@ -271,13 +271,6 @@ def _members(value):
             raise ValueError(f"record key {canon.SET_TAG!r} is reserved")
         value = value[canon.SET_TAG]
     return value
-
-
-# The fixed texts around the parts of a canonical state text (``ModelState.text``).
-_ACTORS = '{"actors":'
-_ALIVE = ',"alive":'
-_EVENTS = ',"events":{"%s":[' % canon.SET_TAG
-_GLOBALS = ']},"globals":'
 
 
 class StateParser:
@@ -334,19 +327,20 @@ class StateParser:
 
     def _known_parts(self, text: str) -> ModelState | None:
         """The state of a canonical text whose every part is known; else None."""
-        a = text.find(_ALIVE)
-        e = text.find(_EVENTS, a + len(_ALIVE))
-        g = text.rfind(_GLOBALS, e + len(_EVENTS))
-        if not (text.startswith(_ACTORS) and a > 0 and e > 0 and g > 0 and text.endswith("}")):
+        a = text.find(STATE_ALIVE)
+        e = text.find(STATE_EVENTS, a + len(STATE_ALIVE))
+        g = text.rfind(STATE_GLOBALS, e + len(STATE_EVENTS))
+        if not (text.startswith(STATE_ACTORS) and a > 0 and e > 0 and g > 0
+                and text.endswith("}")):
             return None
         values = self._values
-        actors = values.get(text[len(_ACTORS):a])
-        alive = values.get(text[a + len(_ALIVE):e])
-        globals_ = values.get(text[g + len(_GLOBALS):-1])
+        actors = values.get(text[len(STATE_ACTORS):a])
+        alive = values.get(text[a + len(STATE_ALIVE):e])
+        globals_ = values.get(text[g + len(STATE_GLOBALS):-1])
         # A part whose value is None (the text ``null``) is decoded like any miss.
         if actors is None or alive is None or globals_ is None:
             return None
-        members = text[e + len(_EVENTS):g]
+        members = text[e + len(STATE_EVENTS):g]
         if not members:
             events = frozenset()
         elif members[0] == "{" and members[-1] == "}":
@@ -456,11 +450,21 @@ def read_replay_log(path) -> ReplayLog:
 def _pinned_graph(
     suite_header: Header, directory: Path, fields: list[str], lineno: int
 ) -> TransitionGraph:
+    """The graph a G line pins, after its header line is checked against the pin,
+    then the suite header's model and bounds; no body byte is read before that."""
     if len(fields) != 3:
         raise MalformedInputError(lineno, "G line needs a graph file and its content hash")
     name, pinned = fields[1], fields[2]
+    # The content hash leaves the headers out, so they are compared by canonical text.
+    in_suite = f"model={suite_header.model} bounds={canon.dumps(suite_header.bounds)}"
     try:
-        header, graph = read_graph_file(directory / name)
+        with open(directory / name, "rb") as handle:
+            header = _parse_header(handle.readline(), ("graph",))
+        in_graph = f"model={header.model} bounds={canon.dumps(header.bounds)}"
+        if header.content_hash == pinned and in_graph == in_suite:
+            return read_graph_file(directory / name)[1]
+    except OSError as exc:
+        raise MalformedInputError(lineno, f"graph file {name}: {exc.strerror or exc}") from exc
     except MalformedInputError as exc:
         raise MalformedInputError(lineno, f"graph file {name}: {exc}") from exc
     if header.content_hash != pinned:
@@ -469,14 +473,9 @@ def _pinned_graph(
             f"graph file {name} has content hash {header.content_hash[:12]}, "
             f"the suite pins {pinned[:12]}; regenerate the suite with `actorcover gensuite`",
         )
-    # The content hash leaves the headers out, so they are compared by canonical text.
-    in_graph = f"model={header.model} bounds={canon.dumps(header.bounds)}"
-    in_suite = f"model={suite_header.model} bounds={canon.dumps(suite_header.bounds)}"
-    if in_graph != in_suite:
-        raise MalformedInputError(
-            lineno, f"graph file {name} has {in_graph}, the suite header says {in_suite}"
-        )
-    return graph
+    raise MalformedInputError(
+        lineno, f"graph file {name} has {in_graph}, the suite header says {in_suite}"
+    )
 
 
 def read_suite_file(path) -> SuiteFile:

@@ -1,8 +1,15 @@
-"""Registry of runnable example systems, keyed by stable model name."""
+"""Registry of runnable example systems, keyed by stable model name.
+
+A system's bounds are a frozen dataclass.  ``make_bounds`` builds them
+from the CLI's parsed bounds flags; ``bounds_from_value`` reads them back
+from the record a file header holds (``Model.bounds_value``), one key per
+dataclass field.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import argparse
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .. import canon
@@ -16,62 +23,51 @@ class SystemSpec:
     """Everything the pipeline needs to explore and test one system."""
 
     name: str
-    make_bounds: Callable[..., object]
+    make_bounds: Callable[[argparse.Namespace], object]
     bounds_from_value: Callable[[canon.Record], object]
     make_model: Callable[[object], Model]
     make_emulator: Callable[[object], Emulator]
     mutants: Mapping[str, Callable[[object], Emulator]] = field(default_factory=dict)
 
 
-def _kv_bounds(replicas=3, max_queries=1, max_views=0, max_gets=0, faults=()):
-    del max_views  # the store has no views; accepted for CLI uniformity
+def _kv_bounds(args: argparse.Namespace) -> kv.KvBounds:
+    faults = args.faults.split(",")
     return kv.KvBounds(
-        actors=replicas,
-        max_sets=max_queries,
-        max_gets=max_gets,
+        actors=args.replicas,
+        max_sets=args.max_queries,
+        max_gets=args.max_gets,
         allow_crash="crash" in faults,
         allow_drop="drop" in faults,
         allow_corrupt="corrupt" in faults,
     )
 
 
-def _kv_bounds_from_value(value: canon.Record) -> kv.KvBounds:
-    return kv.KvBounds(
-        actors=value["actors"],
-        max_sets=value["max_sets"],
-        max_gets=value["max_gets"],
-        allow_crash=value["allow_crash"],
-        allow_drop=value["allow_drop"],
-        allow_corrupt=value["allow_corrupt"],
-    )
-
-
-def _vr_bounds(replicas=3, max_queries=1, max_views=1, max_gets=0, faults=()):
-    del max_gets, faults
-    return vr.VrBounds(replicas=replicas, max_queries=max_queries, max_views=max_views)
-
-
-def _vr_bounds_from_value(value: canon.Record) -> vr.VrBounds:
+def _vr_bounds(args: argparse.Namespace) -> vr.VrBounds:
     return vr.VrBounds(
-        replicas=value["replicas"],
-        max_queries=value["max_queries"],
-        max_views=value["max_views"],
+        replicas=args.replicas, max_queries=args.max_queries, max_views=args.max_views
     )
+
+
+def _reader(bounds_type: type) -> Callable[[canon.Record], object]:
+    """Reads ``bounds_type`` from a record, one key per field in field order: the
+    first missing key raises KeyError naming it, and other keys are ignored."""
+    names = [f.name for f in fields(bounds_type)]
+    return lambda value: bounds_type(*[value[name] for name in names])
 
 
 REGISTRY: dict[str, SystemSpec] = {
     "kv": SystemSpec(
         name="kv",
         make_bounds=_kv_bounds,
-        bounds_from_value=_kv_bounds_from_value,
-        make_model=kv.make_model,
+        bounds_from_value=_reader(kv.KvBounds),
+        make_model=kv.KvModel,
         make_emulator=kv.make_emulator,
     ),
     "vr": SystemSpec(
         name="vr",
         make_bounds=_vr_bounds,
-        bounds_from_value=_vr_bounds_from_value,
-        make_model=vr.make_model,
+        bounds_from_value=_reader(vr.VrBounds),
+        make_model=vr.VrModel,
         make_emulator=vr.make_emulator,
         mutants={
             name: (lambda bounds, _cls=cls: vr.make_emulator(bounds, _cls))

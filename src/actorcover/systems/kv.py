@@ -30,7 +30,6 @@ from ..actors import (
     Action,
     Actor,
     Emulator,
-    EmulatorConfig,
     Event,
     OperationRequest,
     send,
@@ -60,16 +59,6 @@ class KvBounds:
         if self.max_sets < 0 or self.max_gets < 0:
             raise ValueError("bounds must be non-negative")
 
-    def to_value(self) -> canon.Record:
-        return canon.Record(
-            actors=self.actors,
-            max_sets=self.max_sets,
-            max_gets=self.max_gets,
-            allow_crash=self.allow_crash,
-            allow_drop=self.allow_drop,
-            allow_corrupt=self.allow_corrupt,
-        )
-
 
 def _set_event(serial: int, destination: int) -> Event:
     return Event(SET_REQUEST, {"key": KEY, "value": f"v{serial}"}, EXTERNAL, destination)
@@ -90,9 +79,6 @@ class KvModel(Model):
 
     def __init__(self, bounds: KvBounds):
         self.bounds = bounds
-
-    def bounds_value(self) -> canon.Record:
-        return self.bounds.to_value()
 
     def initial_state(self) -> ModelState:
         empty = canon.Record(storage=canon.Record())
@@ -299,9 +285,5 @@ class KvActor(Actor):
         return canon.Record(storage=self.storage)
 
 
-def make_model(bounds: KvBounds) -> KvModel:
-    return KvModel(bounds)
-
-
 def make_emulator(bounds: KvBounds) -> Emulator:
-    return Emulator(EmulatorConfig(actor_count=bounds.actors, actor_factory=KvActor))
+    return Emulator(bounds.actors, KvActor)

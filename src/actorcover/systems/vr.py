@@ -57,7 +57,6 @@ from ..actors import (
     Action,
     Actor,
     Emulator,
-    EmulatorConfig,
     Event,
     OperationRequest,
     send,
@@ -92,13 +91,6 @@ class VrBounds:
             )
         if self.max_queries < 0 or self.max_views < 0:
             raise ValueError("bounds must be non-negative")
-
-    def to_value(self) -> canon.Record:
-        return canon.Record(
-            replicas=self.replicas,
-            max_queries=self.max_queries,
-            max_views=self.max_views,
-        )
 
 
 def initial_replica(replica: int) -> canon.Record:
@@ -153,9 +145,6 @@ class VrModel(Model):
         # event's canonical text.
         self._inject_actions: dict[tuple[str, int, int], tuple[tuple, Action]] = {}
         self._deliver_actions: dict[str, tuple[tuple, Action]] = {}
-
-    def bounds_value(self) -> canon.Record:
-        return self.bounds.to_value()
 
     def _intern(self, value):
         """This model's one object of ``value``'s canonical text."""
@@ -946,10 +935,6 @@ MUTANTS: dict[str, type[VrActor]] = {
 }
 
 
-def make_model(bounds: VrBounds) -> VrModel:
-    return VrModel(bounds)
-
-
 def make_emulator(bounds: VrBounds, actor_cls: type[VrActor] = VrActor) -> Emulator:
-    return Emulator(EmulatorConfig(actor_count=bounds.replicas, actor_factory=actor_cls))
+    return Emulator(bounds.replicas, actor_cls)
 

@@ -12,7 +12,6 @@ from actorcover.actors import (
     Actor,
     ActorFailure,
     Emulator,
-    EmulatorConfig,
     Event,
     IllegalActionError,
 )
@@ -23,7 +22,7 @@ from conftest import KV_BOUNDS, VR_BOUNDS
 
 
 def kv_emulator(n=1):
-    return Emulator(EmulatorConfig(actor_count=n, actor_factory=KvActor))
+    return Emulator(n, KvActor)
 
 
 def test_on_event_get_present_key():
@@ -228,7 +227,7 @@ def injected_emulator(actor_cls):
         model, count = VrModel(VR_BOUNDS), VR_BOUNDS.replicas
     else:
         model, count = KvModel(KV_BOUNDS), KV_BOUNDS.actors
-    emulator = Emulator(EmulatorConfig(count, actor_cls))
+    emulator = Emulator(count, actor_cls)
     injects = [a for a in model.enabled_actions(model.initial_state()) if a.kind == INJECT]
     for action in injects:
         emulator.step(action)

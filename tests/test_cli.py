@@ -109,6 +109,24 @@ def test_parallel_flags_accept_only_one(work, capsys):
         assert "invalid choice: 2" in capsys.readouterr().err
 
 
+def test_explore_over_its_state_cap_prints_the_partial_counts(tmp_path, capsys):
+    rc, out, err = cli(capsys, "explore", "--model", "vr", *BOUNDS, "--max-states", "50",
+                       "--out", tmp_path / "graph.ac1")
+    assert rc == 2
+    assert out == '{"cap":50,"edges":71,"states":50}\n'
+    assert err == "error: state cap 50 exceeded (50 states, 71 edges so far)\n"
+    assert not (tmp_path / "graph.ac1").exists()
+
+
+def test_explore_warns_of_a_graph_without_sinks(capsys):
+    rc, out, err = cli(capsys, "explore", "--model", "kv", "--replicas", "2", "--max-queries", "1",
+                       "--faults", "crash,drop")
+    assert rc == 0
+    assert err == "warning: graph has no sinks; quiescence holds vacuously\n"
+    stats = json.loads(out)
+    assert (stats["states"], stats["edges"], stats["sinks"]) == (48, 148, 0)
+
+
 DOT_LABEL = re.compile(r'^  (\d+) -> (\d+) \[label="((?:[^"\\]|\\.)*)"\];$')
 
 
@@ -284,6 +302,25 @@ def test_run_rejects_bad_suites_with_a_line_number(work, capsys, damage, line, s
     assert rc == 2
     assert re.search(rf"{re.escape(str(suite))}: line {line}: ", err), err
     assert says in err
+
+
+def unchanged(work):
+    return work / "suite.ac1"
+
+
+@pytest.mark.parametrize("damage, rc", [(unchanged, 0), (suite_bounds_edited, 2),
+                                        (regenerate_graph, 2)])
+def test_run_checks_the_pin_and_bounds_before_parsing_the_graph(work, capsys, monkeypatch,
+                                                                 damage, rc):
+    suite = damage(work)
+    parsed, state = [], suitefile.StateParser.state
+    monkeypatch.setattr(suitefile.StateParser, "state",
+                        lambda parser, text: parsed.append(text) or state(parser, text))
+    got, _out, err = cli(capsys, "run", "--model", "vr", "--suite", suite)
+    assert got == rc
+    if rc:
+        assert f"{suite}: line 2: graph file graph.ac1 has " in err
+    assert bool(parsed) == (rc == 0)
 
 
 @pytest.mark.parametrize(

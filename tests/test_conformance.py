@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from actorcover import canon
-from actorcover.actors import EXTERNAL, Action, Emulator, EmulatorConfig, Event, SystemState
+from actorcover.actors import EXTERNAL, Action, Emulator, Event, SystemState
 from actorcover.conformance import (
     ACTOR_FAILURE,
     EVENTS_MISMATCH,
@@ -261,7 +261,7 @@ class _FailsOnActorZeroSets(KvActor):
 
 def test_a_failing_branch_leaves_its_siblings_passing(kv_min_suite):
     def factory():
-        return Emulator(EmulatorConfig(KV_BOUNDS.actors, _FailsOnActorZeroSets))
+        return Emulator(KV_BOUNDS.actors, _FailsOnActorZeroSets)
 
     report = assert_walk_matches_fresh_replay(factory, kv_min_suite)
     assert 0 < report.totals[ACTOR_FAILURE] < len(kv_min_suite.paths)
