@@ -280,6 +280,31 @@ def test_bench_graph_files_are_pinned_byte_for_byte(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# (states, sha256) of the vr graph files at bounds the pins above miss:
+# single-replica adoption (r1 q2 v2), a second view change (r2 q1 v2),
+# 3-replica catch-up (r3 q2 v0) and an election with no requests (r3 q0 v1).
+# Taken before the delivery rules moved into the vr handlers.
+VR_GRAPH_DIGESTS = {
+    (1, 2, 2): (70, "28a1612ada199de2838600cd6a1a640adb9db90ee6e60d6a88e2d83df81167df"),
+    (2, 1, 2): (5065, "d84bce1b709a054f2dd6aeb6fe678d8ab41fe426410c36990643536e188dd53e"),
+    (3, 2, 0): (835, "7f29a73ab975da3b0f72ccccdeb13e7a94368298cac4e96370b4117523a3cb00"),
+    (3, 0, 1): (690, "abaa393349cb36588a173e52b2cd4a1672d41986773431939bc632b635382b95"),
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(VR_GRAPH_DIGESTS),
+                         ids=lambda b: "r{}-q{}-v{}".format(*b))
+def test_vr_graph_files_are_pinned_byte_for_byte(tmp_path, bounds):
+    states, digest = VR_GRAPH_DIGESTS[bounds]
+    model = VrModel(VrBounds(*bounds))
+    result = explore(model)
+    assert result.ok
+    assert result.graph.state_count == states
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), result.graph)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", ["kv", "vr"])
 def test_a_read_graph_exports_the_same_dot(request, tmp_path, name):
     model, graph = request.getfixturevalue(f"{name}_graph")
