@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import canon, dot, suitefile, tsg
 from .conformance import LogVersionMismatchError, replay, run_suite
-from .explore import StateCapExceededError, check_quiescent_progress, explore
+from .explore import DEFAULT_STATE_CAP, StateCapExceededError, check_quiescent_progress, explore
 from .suitefile import MalformedInputError
 from .systems import REGISTRY, get_system
 
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _bounds_args(p)
     p.add_argument("--out", help="graph file to write")
     p.add_argument("--dot", help="also export the graph in dot format")
-    p.add_argument("--max-states", type=int, default=10_000_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--workers", type=int, default=1, choices=[1], help=SINGLE_THREADED)
     p.set_defaults(func=cmd_explore)
 

@@ -68,8 +68,17 @@ def _get_event(serial: int, destination: int) -> Event:
     return Event(GET_REQUEST, {"key": KEY, "serial": serial}, EXTERNAL, destination)
 
 
+CORRUPTED = "corrupt:"
+
+
 def _corrupted_payload(event: Event) -> canon.Record:
-    return canon.Record(key=event.payload["key"], value="corrupt:" + event.payload["value"])
+    return canon.Record(key=event.payload["key"], value=CORRUPTED + event.payload["value"])
+
+
+def _corruptible(event: Event) -> bool:
+    """A set request not corrupted yet: each request is corrupted at most
+    once, which keeps the graph finite."""
+    return event.kind == SET_REQUEST and not event.payload["value"].startswith(CORRUPTED)
 
 
 class KvModel(Model):
@@ -110,7 +119,7 @@ class KvModel(Model):
                 actions.append(Action.deliver(event))
             if b.allow_drop:
                 actions.append(Action.drop(event))
-            if b.allow_corrupt and event.kind == SET_REQUEST:
+            if b.allow_corrupt and _corruptible(event):
                 actions.append(Action.corrupt(event, _corrupted_payload(event)))
         if b.allow_crash:
             for target in range(b.actors):
@@ -199,7 +208,7 @@ class KvModel(Model):
             raise GuardViolationError("corrupt is disabled")
         if event not in state.events:
             raise GuardViolationError("event not in flight")
-        if event.kind != SET_REQUEST or action.payload != _corrupted_payload(event):
+        if not _corruptible(event) or action.payload != _corrupted_payload(event):
             raise GuardViolationError("unexpected corruption")
         replacement = Event(event.kind, action.payload, event.source, event.destination)
         return ModelState(

@@ -37,11 +37,15 @@ View change
     so it can be committed.
 
 Delivery gating
-    Messages a replica is not yet ready for (future views, out-of-order
-    log positions, commits that gain nothing) stay in flight; stale
-    messages are consumed without effect.  All quorum tracking fits in
-    the fields above only because one peer's evidence completes every
-    majority at N <= 3, which is why the bounds refuse larger systems.
+    Each message kind has one handler, which opens with the kind's rule
+    for when a delivery is a transition of the graph and then applies its
+    effect.  Where the rule fails (future views, out-of-order log
+    positions, commits that gain nothing) the handler returns None and the
+    message stays in flight; the only no-op deliveries are stale Prepares
+    and requests at a settled non-master, which are consumed without
+    effect.  All quorum tracking fits in the fields above only because
+    one peer's evidence completes every majority at N <= 3, which is why
+    the bounds refuse larger systems.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ from ..actors import (
     send,
 )
 from ..model import GuardViolationError, Invariant, Model, ModelState, merged_events
+
+# The step memo's marker for a key it does not hold yet.
+_UNSEEN = object()
 
 NORMAL = "Normal"
 VIEW_CHANGE = "ViewChange"
@@ -125,18 +132,17 @@ class VrModel(Model):
         # the master commits fresh entries at append time, unreplicated.
         self.commit_without_quorum = commit_without_quorum
         # Actor-local step memo, keyed on (destination record, event): the
-        # delivery guard's verdict, and the handler's (record, emissions).
-        # Sound because the guard and the handlers read only the
+        # handler's (record, emissions), or None where the delivery is not
+        # a transition.  Sound because the handlers read only the
         # destination's record, the event and constants of this model
         # (``n``, ``commit_without_quorum``).  The key compares by value,
         # as explore's state dedup already does.
-        self._deliverable_memo: dict[tuple, bool] = {}
-        self._deliver_memo: dict[tuple, tuple[canon.Record, tuple[Event, ...]]] = {}
+        self._steps: dict[tuple, tuple[canon.Record, tuple[Event, ...]] | None] = {}
         # One object per step value: the initial records and every handler
         # output (record and emitted events) pass through this table, keyed
         # by type and canonical text.  Text, not ``==``: Record(a=1) equals
         # Record(a=True) but is written differently.  Equal records and
-        # events are then one object, so the memos above and explore's
+        # events are then one object, so the memo above and explore's
         # state dedup hit by identity, and each hash and text is computed
         # once.
         self._interned: dict[tuple[type, str], canon.Record | Event] = {}
@@ -180,7 +186,10 @@ class VrModel(Model):
         for event in state.events:
             if event.source == EXTERNAL and event.kind == START_VIEW_CHANGE:
                 timeout_pending = True
-            if event.destination != EXTERNAL and self._deliverable(state, event):
+            if (
+                event.destination != EXTERNAL
+                and self._step(state.actors[event.destination], event) is not None
+            ):
                 actions.append(self._deliver_action(event))
         if not timeout_pending:
             for dest in range(self.n):
@@ -207,15 +216,10 @@ class VrModel(Model):
             entry = self._deliver_actions[key] = (action.sort_token(), action)
         return entry
 
-    def _deliverable(self, state: ModelState, event: Event) -> bool:
-        key = (state.actors[event.destination], event)
-        verdict = self._deliverable_memo.get(key)
-        if verdict is None:
-            verdict = self._deliverable_memo[key] = self._guard(key[0], event)
-        return verdict
-
-    def _guard(self, rec: canon.Record, event: Event) -> bool:
-        """Whether delivering this event to ``rec`` is a transition of the graph.
+    def _step(self, rec: canon.Record, event: Event) -> tuple | None:
+        """Delivering ``event`` to ``rec``: the replica's new record and the
+        events it emits, or None where the delivery is not a transition of
+        the graph.
 
         Events a replica is not ready for (future views, log gaps) and
         events that would change nothing stay pending instead of being
@@ -225,65 +229,17 @@ class VrModel(Model):
         against (dropping stale Prepares and ignoring client requests at
         a non-master).
         """
-        p = event.payload
-        kind = event.kind
-        if kind == CATCHUP_QUERY:
-            return True
-        if kind == REQUEST:
-            # Settled replicas act on (or drop) requests; one mid-election
-            # holds them, which keeps the graph free of drop-noise edges.
-            return rec["status"] == NORMAL and rec["downloadReplica"] == event.destination
-        if kind == START_VIEW_CHANGE:
-            if p["view"] > rec["viewNumber"]:
-                return True
-            return (
-                p["view"] == rec["viewNumber"]
-                and rec["status"] == VIEW_CHANGE
-                and not rec["phase2"]
-                and event.source != EXTERNAL
-            )
-        if kind == DO_VIEW_CHANGE:
-            if event.destination != self._master(p["view"]):
-                return False
-            if p["view"] > rec["viewNumber"]:
-                return True
-            return (
-                p["view"] == rec["viewNumber"]
-                and rec["status"] == VIEW_CHANGE
-                and rec["downloadReplica"] is None
-            )
-        if kind == START_VIEW:
-            return p["view"] > rec["viewNumber"] or (
-                p["view"] == rec["viewNumber"] and rec["status"] == VIEW_CHANGE
-            )
-        if kind == CATCHUP_REPLY:
-            return (
-                p["view"] == rec["viewNumber"]
-                and rec["downloadReplica"] is not None
-                and rec["downloadReplica"] != event.destination
-            )
-        if kind == PREPARE_OK:
-            return (
-                p["view"] == rec["viewNumber"]
-                and rec["status"] == NORMAL
-                and event.destination == self._master(p["view"])
-                and min(p["pos"], len(rec["log"])) > rec["commitNumber"]
-            )
-        if kind == PREPARE:
-            if rec["status"] != NORMAL or rec["downloadReplica"] != event.destination:
-                return False
-            if p["view"] < rec["viewNumber"]:
-                return True  # stale; consumed without effect by a settled replica
-            if p["view"] > rec["viewNumber"]:
-                return False
-            return p["pos"] <= len(rec["log"]) + 1
-        if kind == COMMIT:
-            return (
-                p["view"] <= rec["viewNumber"]
-                and rec["status"] == NORMAL
-                and min(p["commit"], len(rec["log"])) > rec["commitNumber"]
-            )
-        raise GuardViolationError(f"unknown message kind {kind!r}")
+        key = (rec, event)
+        step = self._steps.get(key, _UNSEEN)
+        if step is _UNSEEN:
+            handler = self._HANDLERS.get(event.kind)
+            if handler is None:
+                raise GuardViolationError(f"unknown message kind {event.kind!r}")
+            step = handler(self, dict(rec), event)
+            if step is not None:
+                step = (self._intern(canon.Record(step[0])), tuple(map(self._intern, step[1])))
+            self._steps[key] = step
+        return step
 
     # ------------------------------------------------------------------
     # Transitions
@@ -326,14 +282,9 @@ class VrModel(Model):
     def _apply_deliver(self, state: ModelState, event: Event) -> ModelState:
         if event not in state.events:
             raise GuardViolationError(f"event not in flight: {event.key()}")
-        if not self._deliverable(state, event):
-            raise GuardViolationError(f"delivery not enabled: {event.key()}")
-        key = (state.actors[event.destination], event)
-        step = self._deliver_memo.get(key)
+        step = self._step(state.actors[event.destination], event)
         if step is None:
-            rec, emitted = self._HANDLERS[event.kind](self, dict(key[0]), event)
-            step = (self._intern(canon.Record(rec)), tuple(map(self._intern, emitted)))
-            self._deliver_memo[key] = step
+            raise GuardViolationError(f"delivery not enabled: {event.key()}")
         rec, emitted = step
         return ModelState(
             actors=state.replace_actor(event.destination, rec),
@@ -343,7 +294,8 @@ class VrModel(Model):
         )
 
     # Each handler takes a mutable copy of the destination replica's record
-    # and returns (record, emitted events).
+    # and returns (record, emitted events), or None where its kind's rule
+    # leaves the event in flight.
 
     def _dvc(self, rec: dict, sender: int, view: int) -> Event:
         payload = {
@@ -374,15 +326,13 @@ class VrModel(Model):
                 emitted.append(self._dvc(rec, replica, view))
         return emitted
 
-    def _on_request(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_request(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         replica = event.destination
+        if rec["status"] != NORMAL or rec["downloadReplica"] != replica:
+            return None  # mid-election: held, which keeps drop-noise edges out
         view = rec["viewNumber"]
-        if (
-            rec["status"] != NORMAL
-            or replica != self._master(view)
-            or rec["downloadReplica"] != replica
-        ):
-            return rec, []  # not the active master: the request is dropped
+        if replica != self._master(view):
+            return rec, []  # a settled non-master drops the request
         entry = canon.Record(view=view, op=event.payload["op"])
         rec["log"] = rec["log"] + (entry,)
         if self.n == 1 or self.commit_without_quorum:
@@ -396,10 +346,14 @@ class VrModel(Model):
         emitted = [Event(PREPARE, payload, replica, k) for k in self._others(replica)]
         return rec, emitted
 
-    def _on_prepare(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_prepare(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         p = event.payload
+        if rec["status"] != NORMAL or rec["downloadReplica"] != event.destination:
+            return None  # mid-election or downloading: held
         if p["view"] < rec["viewNumber"]:
-            return rec, []  # stale view
+            return rec, []  # stale view: a settled replica drops it
+        if p["view"] > rec["viewNumber"] or p["pos"] > len(rec["log"]) + 1:
+            return None  # future view or log gap
         emitted = []
         if p["pos"] == len(rec["log"]) + 1:
             rec["log"] = rec["log"] + (p["entry"],)
@@ -408,53 +362,61 @@ class VrModel(Model):
         rec["commitNumber"] = max(rec["commitNumber"], min(p["commit"], len(rec["log"])))
         return rec, emitted
 
-    def _on_prepare_ok(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_prepare_ok(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         p = event.payload
         replica = event.destination
         view = rec["viewNumber"]
-        if p["view"] != view or rec["status"] != NORMAL or replica != self._master(view):
-            return rec, []  # stale acknowledgement
         confirmed = min(p["pos"], len(rec["log"]))
-        if confirmed <= rec["commitNumber"]:
-            return rec, []  # already committed through here
+        if (
+            p["view"] != view
+            or rec["status"] != NORMAL
+            or replica != self._master(view)
+            or confirmed <= rec["commitNumber"]
+        ):
+            return None  # stale, or already committed through here
         rec["commitNumber"] = confirmed
         payload = {"view": view, "commit": confirmed}
         emitted = [Event(COMMIT, payload, replica, k) for k in self._others(replica)]
         return rec, emitted
 
-    def _on_commit(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
-        rec["commitNumber"] = min(event.payload["commit"], len(rec["log"]))
+    def _on_commit(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
+        p = event.payload
+        commit = min(p["commit"], len(rec["log"]))
+        settled = p["view"] <= rec["viewNumber"] and rec["status"] == NORMAL
+        if not settled or commit <= rec["commitNumber"]:
+            return None  # future view, mid-election, or no gain
+        rec["commitNumber"] = commit
         return rec, []
 
-    def _on_start_view_change(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_start_view_change(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         replica = event.destination
         view = event.payload["view"]
         if view > rec["viewNumber"]:
             return rec, self._adopt(rec, replica, view, voted=event.source != EXTERNAL)
         if (
-            view == rec["viewNumber"]
-            and rec["status"] == VIEW_CHANGE
-            and not rec["phase2"]
-            and event.source != EXTERNAL
+            view != rec["viewNumber"]
+            or rec["status"] != VIEW_CHANGE
+            or rec["phase2"]
+            or event.source == EXTERNAL
         ):
-            rec["phase2"] = True
-            if replica != self._master(view):
-                return rec, [self._dvc(rec, replica, view)]
+            return None  # stale, or no vote this election still needs
+        rec["phase2"] = True
+        if replica != self._master(view):
+            return rec, [self._dvc(rec, replica, view)]
         return rec, []
 
-    def _on_do_view_change(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_do_view_change(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         replica = event.destination
         view = event.payload["view"]
-        emitted: list[Event] = []
-        if replica != self._master(view):
-            return rec, []
+        if replica != self._master(view) or view < rec["viewNumber"]:
+            return None  # misaddressed or stale
         if view > rec["viewNumber"]:
-            emitted.extend(self._adopt(rec, replica, view, voted=True))
-        if (
-            view == rec["viewNumber"]
-            and rec["status"] == VIEW_CHANGE
-            and rec["downloadReplica"] is None
-        ):
+            emitted = self._adopt(rec, replica, view, voted=True)
+        elif rec["status"] == VIEW_CHANGE and rec["downloadReplica"] is None:
+            emitted = []
+        else:
+            return None  # this view's log is chosen already
+        if rec["status"] == VIEW_CHANGE:  # a lone replica settles as it adopts
             rec["phase2"] = True
             p = event.payload
             own = (rec["commitNumber"], last_entry_view(rec["log"]), len(rec["log"]))
@@ -476,12 +438,12 @@ class VrModel(Model):
         payload = {"view": view, "logLen": len(rec["log"]), "commit": rec["commitNumber"]}
         return [Event(START_VIEW, payload, replica, k) for k in self._others(replica)]
 
-    def _on_start_view(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_start_view(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         replica = event.destination
         p = event.payload
         view = p["view"]
         if view < rec["viewNumber"] or (view == rec["viewNumber"] and rec["status"] == NORMAL):
-            return rec, []  # stale announcement
+            return None  # stale announcement
         rec.update(viewNumber=view, status=NORMAL, phase2=False)
         rec["log"] = rec["log"][: rec["commitNumber"]]
         emitted = []
@@ -511,13 +473,13 @@ class VrModel(Model):
         }
         return rec, [Event(CATCHUP_REPLY, payload, event.destination, event.source)]
 
-    def _on_catchup_reply(self, rec: dict, event: Event) -> tuple[dict, list[Event]]:
+    def _on_catchup_reply(self, rec: dict, event: Event) -> tuple[dict, list[Event]] | None:
         replica = event.destination
         p = event.payload
         view = p["view"]
         source = rec["downloadReplica"]
         if view != rec["viewNumber"] or source is None or source == replica:
-            return rec, []  # not downloading (anymore)
+            return None  # not downloading (anymore)
         if p["entry"] is not None and p["pos"] == len(rec["log"]) + 1:
             rec["log"] = rec["log"] + (p["entry"],)
             rec["catchupPos"] = p["pos"]
@@ -561,7 +523,7 @@ class VrModel(Model):
         # model's constants).  Explore's states take far fewer distinct
         # values of these than there are states (vr r3 q1 v1: 500 actor
         # tuples for 72,518 states).  Keys compare by value, as the step
-        # memos' do.  The memos live as long as the returned list, so for
+        # memo's do.  The memos live as long as the returned list, so for
         # one explore.
         return [
             Invariant(

@@ -1,9 +1,10 @@
 """Independent reference solvers and serializer the package is checked against.
 
 Deliberately naive: these share no code or algorithmic structure with the
-production code, so agreement is meaningful.  Two exceptions:
-``fresh_replay_verdicts`` reuses the runner's per-step check, because what it
-checks is how paths are executed, not how a step is judged; and
+production code, so agreement is meaningful.  Three exceptions:
+``fresh_replay_verdicts`` and ``product_search`` reuse the runner's per-step
+check, because what they check is how paths are executed and which steps a
+suite reaches, not how a step is judged; and
 ``DecodingStateParser`` builds each state part through ``canon.loads`` and the
 model types as the file reader does, because what it checks is how the reader
 finds a state's parts, not how a part is built.
@@ -157,6 +158,45 @@ def fresh_replay_verdicts(emulator_factory, suite) -> list:
                 break
         verdicts.append(verdict)
     return verdicts
+
+
+def product_search(emulator_factory, graph) -> tuple[dict[int, set], set[int]]:
+    """Breadth-first search of (graph vertex, emulator state) pairs from the root.
+
+    An emulator state is keyed on its actors' images, its liveness flags and
+    its event counts.  From each pair, every out-edge of the vertex is
+    stepped with ``check_step`` from a restore of the pair's save: a
+    conforming step reaches the edge's destination with the emulator's new
+    state, and a failing one puts the edge on the frontier.  Returns the
+    emulator keys reached at each vertex and the frontier's edge ids.
+    """
+    from actorcover.conformance import check_step
+
+    out_edges: dict[int, list[int]] = {}
+    for eid, edge in enumerate(graph.edges):
+        out_edges.setdefault(edge.source, []).append(eid)
+    emulator = emulator_factory()
+
+    def key():
+        snapshot = emulator.snapshot()
+        return snapshot.actors, snapshot.alive, frozenset(emulator.store._counts.items())
+
+    reached = {1: {key()}}
+    frontier = set()
+    queue = deque([(1, emulator.save())])
+    while queue:
+        vertex, saved = queue.popleft()
+        for eid in out_edges.get(vertex, ()):
+            emulator.restore(saved)
+            edge = graph.edges[eid]
+            if check_step(emulator, edge.action, graph.state(edge.destination)) is not None:
+                frontier.add(eid)
+                continue
+            state, keys = key(), reached.setdefault(edge.destination, set())
+            if state not in keys:
+                keys.add(state)
+                queue.append((edge.destination, emulator.save()))
+    return reached, frontier
 
 
 class DecodingStateParser:

@@ -127,6 +127,14 @@ def test_explore_warns_of_a_graph_without_sinks(capsys):
     assert (stats["states"], stats["edges"], stats["sinks"]) == (48, 148, 0)
 
 
+def test_explore_corrupts_each_kv_request_once(capsys):
+    rc, out, err = cli(capsys, "explore", "--model", "kv", "--replicas", "1", "--max-queries", "1",
+                       "--faults", "corrupt")
+    assert (rc, err) == (0, "")
+    stats = json.loads(out)
+    assert (stats["states"], stats["edges"]) == (5, 4)
+
+
 DOT_LABEL = re.compile(r'^  (\d+) -> (\d+) \[label="((?:[^"\\]|\\.)*)"\];$')
 
 

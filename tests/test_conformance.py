@@ -9,6 +9,7 @@ replay (``oracles.fresh_replay_verdicts``).
 import errno
 import os
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from actorcover.systems.vr import make_emulator as vr_emulator
 from actorcover.tsg import baseline_suite, min_suite
 
 from conftest import KV_BOUNDS, VR_BOUNDS
-from oracles import fresh_replay_verdicts
+from oracles import fresh_replay_verdicts, product_search
 
 VR_MUTANTS = get_system("vr").mutants
 
@@ -330,3 +331,59 @@ def test_check_step_tells_events_only_from_state_mismatches(snapshot, expected, 
     """Events alone differing is EVENTS_MISMATCH; any other difference is STATE_MISMATCH,
     detailed actors first, then missing events, then unexpected ones."""
     assert check_step(_Snapshot(*snapshot), STEP, model_state(*expected)) == failure
+
+
+# (graph, mutant) -> edges whose step fails from an emulator state that
+# conforming steps reach; mutant None is the correct implementation.
+PRODUCT_FRONTIERS = {
+    ("kv", None): 0,
+    **{("vr", m): 0 for m in (None, "prepend-entry", "stale-prepare")},
+    ("vr", "keep-phase2"): 50,
+    ("vr", "skip-commit"): 25,
+    ("vr", "no-commit-broadcast"): 25,
+    ("vr-r2-q2-v1", None): 0,
+    ("vr-r2-q2-v1", "keep-phase2"): 545,
+    ("vr-r2-q2-v1", "skip-commit"): 455,
+    ("vr-r2-q2-v1", "no-commit-broadcast"): 455,
+    ("vr-r2-q2-v1", "prepend-entry"): 300,
+    ("vr-r2-q2-v1", "stale-prepare"): 0,
+}
+
+
+@pytest.fixture(scope="module")
+def min_suites(request, bench_graph):
+    """Graph name -> (model, min suite over its graph), built once per module."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            if name in ("kv", "vr"):
+                model, graph = request.getfixturevalue(f"{name}_graph")
+            else:
+                model, graph = bench_graph(name)
+            built[name] = model, in_memory_suite(graph, min_suite(graph.cover_graph()).paths)
+        return built[name]
+
+    return get
+
+
+def test_product_frontiers_cover_every_mutant():
+    for graph in ("vr", "vr-r2-q2-v1"):
+        assert {m for name, m in PRODUCT_FRONTIERS if name == graph} == {None, *VR_MUTANTS}
+
+
+@pytest.mark.parametrize("name, mutant", sorted(PRODUCT_FRONTIERS, key=str))
+def test_the_min_suite_fails_on_every_edge_of_the_product_frontier(min_suites, name, mutant):
+    """Searched exhaustively, conforming steps reach one emulator state per
+    vertex, and the edges whose step fails from one of them are exactly the
+    edges the min suite's paths first fail on."""
+    model, suite = min_suites(name)
+    spec = get_system(model.name)
+    make = spec.make_emulator if mutant is None else spec.mutants[mutant]
+    factory = partial(make, model.bounds)
+    reached, frontier = product_search(factory, suite.graph)
+    assert all(len(states) == 1 for states in reached.values())
+    assert len(frontier) == PRODUCT_FRONTIERS[name, mutant]
+    report = run_suite(factory, suite)
+    assert frontier == {suite.paths[v.path_id][v.failing_step - 1]
+                        for v in report.verdicts if not v.passed}

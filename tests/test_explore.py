@@ -14,13 +14,14 @@ from actorcover.explore import (
 )
 from actorcover.model import (
     DuplicateEmissionError,
+    GuardViolationError,
     Invariant,
     Model,
     ModelState,
     merged_events,
 )
 from actorcover.suitefile import read_graph_file, write_graph_file
-from actorcover.systems.kv import KvBounds, KvModel
+from actorcover.systems.kv import KvBounds, KvModel, _corrupted_payload
 from actorcover.systems.vr import VrBounds, VrModel
 from conftest import KV_BOUNDS, VR_BOUNDS
 
@@ -93,6 +94,20 @@ def test_kv_three_actor_graph_shape():
     assert graph.edge_count == 6
     assert graph.diameter() == 2
     assert len(graph.sink_indices()) == 3
+
+
+def test_kv_corrupts_each_set_request_at_most_once():
+    model = KvModel(KvBounds(actors=1, max_sets=1, allow_corrupt=True))
+    graph = explore(model).graph
+    # Inject, then deliver the request or corrupt it and deliver that.
+    assert (graph.state_count, graph.edge_count) == (5, 4)
+    corrupt = next(e for e in graph.edges if e.action.kind == "corrupt")
+    state = graph.state(corrupt.destination)
+    (event,) = state.events
+    assert event.payload["value"] == "corrupt:v1"
+    assert all(a.kind != "corrupt" for a in model.enabled_actions(state))
+    with pytest.raises(GuardViolationError, match="unexpected corruption"):
+        model.apply(state, Action.corrupt(event, _corrupted_payload(event)))
 
 
 def test_vertex_count_equals_distinct_canonical_keys():

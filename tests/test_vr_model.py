@@ -116,7 +116,7 @@ def test_disabled_action_raises_guard_violation():
 
 
 def test_memoized_steps_keep_both_delivery_guards():
-    # Deliver a Prepare to replica 1 once, so both step memos hold
+    # Deliver a Prepare to replica 1 once, so the step memo holds
     # (replica 1's initial record, prepare).
     model = VrModel(VrBounds(3, 1, 0))
     init = model.initial_state()
@@ -125,7 +125,7 @@ def test_memoized_steps_keep_both_delivery_guards():
     prepare = next(e for e in sent.events if e.destination == 1)
     delivered = model.apply(sent, Action.deliver(prepare))
     assert delivered.actors[1]["log"] == (prepare.payload["entry"],)
-    assert (init.actors[1], prepare) in model._deliver_memo
+    assert (init.actors[1], prepare) in model._steps
     # Same record, same event, but the event is not in flight.
     assert init.actors[1] == sent.actors[1]
     with pytest.raises(GuardViolationError, match="not in flight"):
