@@ -143,6 +143,17 @@ def test_memoized_steps_keep_both_delivery_guards():
     assert model.apply(sent, Action.deliver(prepare)) == delivered
 
 
+def test_an_unknown_message_kind_raises_guard_violation():
+    model = VrModel(VrBounds(2, 1, 1))
+    init = model.initial_state()
+    bogus = Event("Bogus", {"view": 1}, 1, 0)
+    state = ModelState(init.actors, init.alive, init.globals_, frozenset({bogus}))
+    with pytest.raises(GuardViolationError, match="unknown message kind 'Bogus'"):
+        model.enabled_actions(state)
+    with pytest.raises(GuardViolationError, match="unknown message kind 'Bogus'"):
+        model.apply(state, Action.deliver(bogus))
+
+
 def test_master_appends_and_replicates():
     model = VrModel(VrBounds(3, 1, 0))
     state = model.apply(model.initial_state(), Action.inject(request_event(0)))
