@@ -55,8 +55,9 @@ class ActorFailure(Exception):
 class Event:
     """One unit of communication: a message, client request or timer tick.
 
-    Identity is the canonical serialization of all four fields; two events
-    with equal fields are interchangeable.
+    Its ``key`` is the canonical serialization of all four fields.  Events
+    compare by field value, so two events with equal fields are
+    interchangeable.
     """
 
     kind: str
@@ -65,15 +66,32 @@ class Event:
     destination: int
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", canon.freeze(self.payload))
+        payload = canon.freeze(self.payload)
+        object.__setattr__(self, "payload", payload)
+        # Event sets, the models' step memos and ``check_step`` hash each
+        # event many times; the hash is computed here, once.
+        object.__setattr__(
+            self, "_hash", hash((self.kind, payload, self.source, self.destination))
+        )
 
     def __hash__(self) -> int:
-        # Event sets and the models' step memos hash each event many times.
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.kind, self.payload, self.source, self.destination))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        # By value, as the fields compare: Record(n=1) == Record(n=True), so
+        # those two events are equal although their keys differ.  Equal
+        # events hash alike, so unequal hashes settle most comparisons.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.kind == other.kind
+            and self.payload == other.payload
+            and self.source == other.source
+            and self.destination == other.destination
+        )
 
     def to_value(self) -> canon.Record:
         value = getattr(self, "_value", None)
@@ -208,7 +226,11 @@ class SystemState:
     """Composite snapshot: per-actor images, liveness, unprocessed events.
 
     The event collection is the *set* projection of the internal multiset;
-    duplicate in-flight events collapse here and only here.
+    duplicate in-flight events collapse here and only here.  A model
+    state holds its events as a tuple of distinct events in key order,
+    so ``conformance.check_step`` compares the two as equal sizes and
+    ``events.issuperset(model_events)``, which hashes each expected event
+    once and builds no set.
     """
 
     actors: tuple

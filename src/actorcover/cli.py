@@ -54,6 +54,9 @@ def _file_error(path, exc: Exception) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.max_states < 1:
+        print("error: --max-states must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     try:
         spec = get_system(args.model)
         bounds = spec.make_bounds(args)

@@ -123,10 +123,12 @@ def check_step(
         return ILLEGAL_ACTION, str(exc)
     except ActorFailure as exc:
         return ACTOR_FAILURE, str(exc)
+    events = snapshot.events
     if (
         snapshot.actors == expected.actors
         and snapshot.alive == expected.alive
-        and snapshot.events == expected.events
+        and len(events) == len(expected.events)
+        and events.issuperset(expected.events)
     ):
         return None
     return _mismatch(snapshot, expected)
@@ -145,8 +147,9 @@ def _mismatch(impl: SystemState, model: ModelState) -> tuple[str, str]:
             diffs.append((f"actor {i}.alive", got, want))
     parts = [f"{path}: implementation={canon.dumps(a)} model={canon.dumps(b)}"
              for path, a, b in diffs]
-    parts += ["missing event " + k for k in sorted(e.key() for e in model.events - impl.events)]
-    parts += ["unexpected event " + k for k in sorted(e.key() for e in impl.events - model.events)]
+    expected = set(model.events)
+    parts += ["missing event " + k for k in sorted(e.key() for e in expected - impl.events)]
+    parts += ["unexpected event " + k for k in sorted(e.key() for e in impl.events - expected)]
     return (STATE_MISMATCH if diffs else EVENTS_MISMATCH), "; ".join(parts)
 
 

@@ -280,14 +280,16 @@ class StateParser:
     event, and each distinct part is kept under its text.  A canonical
     state text is those parts' texts between fixed markers, so the parser
     first cuts the text at the markers and looks the slices up; events
-    are cut apart at ``},{``.  When every slice is a known text, the
-    state is built from the known parts without decoding anything.
+    are cut apart at ``},{``.  When every slice is a known text and the
+    event texts are strictly ascending, the state is built from the known
+    parts without decoding anything, its events in text order: an event
+    is known under its key only, so that is the key order a state holds.
     Otherwise (a part not seen before in this file, a text that is not
     canonical, or a marker inside a part, such as a nested record's
     ``alive`` key or ``},{`` in a string) the text is
     decoded once as plain JSON, each part is rendered back to text and
     looked up by it, and only a text not seen before goes through
-    ``canon.loads``.
+    ``canon.loads``; the state's constructor sorts those events.
 
     Both ways give the same state: every known text is a complete JSON
     value that renders back to itself, so a text made of markers and
@@ -314,7 +316,12 @@ class StateParser:
     def _event(self, text: str) -> Event:
         event = self._events.get(text)
         if event is None:
-            event = self._events[text] = Event.from_value(canon.loads(text))
+            event = Event.from_value(canon.loads(text))
+            # Kept under its key, the text a canonical state holds, and not
+            # under a text that differs from it (say, a payload's set with
+            # its members out of order), so that ``_known_parts`` can take
+            # ascending known texts for ascending keys.
+            event = self._events.setdefault(event.key(), event)
         return event
 
     def state(self, text: str) -> ModelState:
@@ -342,16 +349,16 @@ class StateParser:
             return None
         members = text[e + len(STATE_EVENTS):g]
         if not members:
-            events = frozenset()
-        elif members[0] == "{" and members[-1] == "}":
-            events = frozenset(
-                map(self._events.get, ["{%s}" % m for m in members[1:-1].split("},{")])
-            )
-            if None in events:
-                return None
-        else:
+            return ModelState(actors, alive, globals_, ())
+        if members[0] != "{" or members[-1] != "}":
             return None
-        return ModelState(actors, alive, globals_, events)
+        texts = ["{%s}" % m for m in members[1:-1].split("},{")]
+        # Known texts are their events' keys, so strictly ascending texts are
+        # the key-ordered tuple a state holds; any other order is decoded.
+        distinct = set(texts)
+        if sorted(distinct) != texts or not self._events.keys() >= distinct:
+            return None
+        return ModelState(actors, alive, globals_, tuple(map(self._events.__getitem__, texts)))
 
     def _decode(self, text: str) -> ModelState:
         """The state of any text: decoded whole, each part looked up by its rendered text."""
@@ -364,9 +371,9 @@ class StateParser:
             actors=self._value(plain["actors"]),
             alive=self._value(plain["alive"]),
             globals_=self._value(plain["globals"]),
-            events=frozenset(
-                self._event("".join(_RENDER(v, 0))) for v in _members(plain["events"])
-            ),
+            # A list, not a set: the constructor sorts it and keeps one event
+            # per key, where a set would also merge equal events of two keys.
+            events=[self._event("".join(_RENDER(v, 0))) for v in _members(plain["events"])],
         )
 
     def action(self, text: str) -> Action:

@@ -95,7 +95,7 @@ class KvModel(Model):
             actors=(empty,) * self.bounds.actors,
             alive=(True,) * self.bounds.actors,
             globals_=canon.Record(sets=0, gets=0),
-            events=frozenset(),
+            events=(),
         )
 
     def enabled_actions(self, state: ModelState) -> list[Action]:

@@ -146,6 +146,12 @@ class VrModel(Model):
         # state dedup hit by identity, and each hash and text is computed
         # once.
         self._interned: dict[tuple[type, str], canon.Record | Event] = {}
+        # One actor tuple per value, for each successor to keep: states
+        # share far fewer actor tuples than there are states (vr r3 q1 v1:
+        # 500 for 72,518), and dedup then compares them by identity.  Keyed
+        # by the records' ids, which the tuple keeps alive: the records are
+        # interned above, so one id is one text.
+        self._actor_tuples: dict[tuple[int, ...], tuple] = {}
         # One Action per distinct action, with its sort token: injects
         # keyed on (kind, op or view, destination), deliveries on the
         # event's canonical text.
@@ -168,7 +174,7 @@ class VrModel(Model):
             actors=tuple(self._intern(initial_replica(r)) for r in range(self.n)),
             alive=(True,) * self.n,
             globals_=canon.Record(queriesCount=0),
-            events=frozenset(),
+            events=(),
         )
 
     # ------------------------------------------------------------------
@@ -280,14 +286,16 @@ class VrModel(Model):
         )
 
     def _apply_deliver(self, state: ModelState, event: Event) -> ModelState:
-        if event not in state.events:
+        # By identity first: an enabled delivery's event is the object in flight.
+        if id(event) not in map(id, state.events) and event not in state.events:
             raise GuardViolationError(f"event not in flight: {event.key()}")
         step = self._step(state.actors[event.destination], event)
         if step is None:
             raise GuardViolationError(f"delivery not enabled: {event.key()}")
         rec, emitted = step
+        actors = state.replace_actor(event.destination, rec)
         return ModelState(
-            actors=state.replace_actor(event.destination, rec),
+            actors=self._actor_tuples.setdefault(tuple(map(id, actors)), actors),
             alive=state.alive,
             globals_=state.globals_,
             events=merged_events(state.events, event, emitted),

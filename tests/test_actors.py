@@ -25,6 +25,19 @@ def kv_emulator(n=1):
     return Emulator(n, KvActor)
 
 
+def test_event_hash_is_computed_at_construction_and_equality_is_by_value():
+    one = Event("Tick", {"n": 1}, EXTERNAL, 0)
+    assert "_hash" in vars(one)
+    assert hash(one) == hash(("Tick", canon.Record(n=1), EXTERNAL, 0))
+    # Record(n=1) == Record(n=True), so the events are equal; their texts differ.
+    true = Event("Tick", {"n": True}, EXTERNAL, 0)
+    assert one == true and hash(one) == hash(true)
+    assert one.key() != true.key()
+    assert one != Event("Tick", {"n": 1}, EXTERNAL, 1)
+    assert one != Event("Tock", {"n": 1}, EXTERNAL, 0)
+    assert one != ("Tick", canon.Record(n=1), EXTERNAL, 0)
+
+
 def test_on_event_get_present_key():
     actor = KvActor(0, 3)
     actor.storage[KEY] = "v"

@@ -118,6 +118,15 @@ def test_explore_over_its_state_cap_prints_the_partial_counts(tmp_path, capsys):
     assert not (tmp_path / "graph.ac1").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_explore_rejects_a_state_cap_below_one(tmp_path, capsys, cap):
+    rc, out, err = cli(capsys, "explore", "--model", "vr", *BOUNDS, "--max-states", cap,
+                       "--out", tmp_path / "graph.ac1")
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-states must be >= 1\n"
+    assert not (tmp_path / "graph.ac1").exists()
+
+
 def test_explore_warns_of_a_graph_without_sinks(capsys):
     rc, out, err = cli(capsys, "explore", "--model", "kv", "--replicas", "2", "--max-queries", "1",
                        "--faults", "crash,drop")

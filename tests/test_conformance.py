@@ -333,6 +333,26 @@ def test_check_step_tells_events_only_from_state_mismatches(snapshot, expected, 
     assert check_step(_Snapshot(*snapshot), STEP, model_state(*expected)) == failure
 
 
+def test_check_step_compares_the_store_image_with_the_model_events():
+    """The implementation's store counts a duplicate; the model's events are
+    a tuple of distinct events, compared as a set of the same size."""
+    emulator = Emulator(1, KvActor)
+    event = Event(SET_REQUEST, {"key": "k", "value": "v", "serial": 1}, EXTERNAL, 0)
+    emulator.step(Action.inject(event))
+    images = emulator.snapshot().actors
+    expected = ModelState(images, (True,), canon.Record(), (event,))
+    assert check_step(emulator, Action.inject(event), expected) is None
+    assert emulator.store.size() == 2
+    # One event swapped for another at the same count, or one more event:
+    # only the events differ.
+    other = Event("Ping", {"n": 3}, EXTERNAL, 0)
+    both = _Snapshot([{"x": 1}], (True,), [SENT, LOST])
+    swapped = check_step(both, STEP, model_state([{"x": 1}], (True,), [other, LOST]))
+    assert swapped == (EVENTS_MISMATCH, f"missing event {other.key()}; unexpected event {SENT.key()}")
+    extra = check_step(both, STEP, model_state([{"x": 1}], (True,), [LOST]))
+    assert extra == (EVENTS_MISMATCH, f"unexpected event {SENT.key()}")
+
+
 # (graph, mutant) -> edges whose step fails from an emulator state that
 # conforming steps reach; mutant None is the correct implementation.
 PRODUCT_FRONTIERS = {

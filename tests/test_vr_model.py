@@ -38,7 +38,7 @@ def test_initial_state_matches_protocol_start():
         assert rec["catchupPos"] == 0
         assert rec["phase2"] is False
     assert state.globals_["queriesCount"] == 0
-    assert state.events == frozenset()
+    assert state.events == ()
 
 
 def test_init_enables_requests_and_timeouts_only():
@@ -81,11 +81,9 @@ def test_timeout_fire_produces_view_change_state():
     assert rec["downloadReplica"] is None
     assert rec["catchupPos"] == 0
     assert rec["phase2"] is False
-    assert state.events == frozenset(
-        {
-            Event("StartViewChange", {"view": 1}, 1, 0),
-            Event("StartViewChange", {"view": 1}, 1, 2),
-        }
+    assert state.events == (
+        Event("StartViewChange", {"view": 1}, 1, 0),
+        Event("StartViewChange", {"view": 1}, 1, 2),
     )
     # Bookkeeping untouched by anything but client requests.
     assert state.globals_["queriesCount"] == 0
@@ -162,11 +160,11 @@ def test_master_appends_and_replicates():
     entry = canon.Record(view=0, op=1)
     assert rec["log"] == (entry,)
     assert rec["commitNumber"] == 0
-    expected = {
+    expected = (
         Event("Prepare", {"view": 0, "pos": 1, "entry": entry, "commit": 0}, 0, 1),
         Event("Prepare", {"view": 0, "pos": 1, "entry": entry, "commit": 0}, 0, 2),
-    }
-    assert state.events == frozenset(expected)
+    )
+    assert state.events == expected
 
 
 def test_request_to_backup_is_dropped():
@@ -174,7 +172,7 @@ def test_request_to_backup_is_dropped():
     state = model.apply(model.initial_state(), Action.inject(request_event(1)))
     state = model.apply(state, Action.deliver(request_event(1)))
     assert state.actors[1]["log"] == ()
-    assert state.events == frozenset()
+    assert state.events == ()
 
 
 def test_single_replica_commits_at_append():
@@ -183,7 +181,7 @@ def test_single_replica_commits_at_append():
     state = model.apply(state, Action.deliver(request_event(0)))
     rec = state.actors[0]
     assert rec["commitNumber"] == 1 and len(rec["log"]) == 1
-    assert state.events == frozenset()
+    assert state.events == ()
 
 
 def explore_vr(*bounds, **kwargs):
