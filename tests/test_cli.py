@@ -68,6 +68,12 @@ def test_run_rejects_an_unknown_mutant(work, tmp_path, capsys):
     assert err == "error: unknown mutant 'bogus' (known: none)\n"
 
 
+def test_run_rejects_a_suite_of_another_model(work, capsys):
+    rc, out, err = cli(capsys, "run", "--model", "kv", "--suite", work / "suite.ac1")
+    assert (rc, out) == (2, "")
+    assert err == "error: suite was generated for model 'vr', not 'kv'\n"
+
+
 def test_run_fail_fast_stops_after_the_first_failing_path(work, capsys):
     # The min suite's path 0 already fails; baseline paths follow edge ids,
     # so several pass before skip-commit's first kill.
