@@ -1,7 +1,10 @@
 """Command-line pipeline: explore, gensuite, run, replay, stats.
 
 Exit codes: 0 success, 1 verification failure (invariant violations or
-non-passing paths), 2 usage or input-format errors.  All file outputs are
+non-passing paths), 2 usage or input-format errors.  A usage or input
+error is one ``error: <why>`` line on stderr, ``<why>`` starting with the
+file's path when a file is at fault; commands raise it as ``UsageError``,
+and only ``main`` prints it and returns 2.  All file outputs are
 byte-deterministic for identical inputs and flags; wall-clock figures are
 printed to the console only.
 """
@@ -35,6 +38,10 @@ SINGLE_THREADED = ("only 1 is accepted: parallel runs were removed because "
                    "they were slower than one worker")
 
 
+class UsageError(Exception):
+    """A usage or input error: ``main`` prints ``error: <message>`` and exits 2."""
+
+
 def _bounds_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replicas", type=int, default=3, help="actor/replica count")
     parser.add_argument("--max-queries", type=int, default=1,
@@ -46,31 +53,47 @@ def _bounds_args(parser: argparse.ArgumentParser) -> None:
                         help="comma list of kv fault actions: crash,drop,corrupt")
 
 
-def _file_error(path, exc: Exception) -> int:
-    """Print ``error: <path>: <why>`` for a bad input or unwritable output; exit code 2."""
+def _file_error(path, exc: Exception) -> UsageError:
+    """``<path>: <why>`` for a bad input or an unwritable output."""
     why = (exc.strerror or str(exc)) if isinstance(exc, OSError) else str(exc)
-    print(f"error: {path}: {why}", file=sys.stderr)
-    return USAGE_ERROR
+    return UsageError(f"{path}: {why}")
+
+
+def _read(path, reader, *args):
+    """``reader(path, *args)``; an unreadable or malformed file raises UsageError."""
+    try:
+        return reader(path, *args)
+    except (OSError, MalformedInputError) as exc:
+        raise _file_error(path, exc) from exc
+
+
+def _write(path, writer, *args) -> None:
+    """``writer(path, *args)``; an unwritable file raises UsageError."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise _file_error(path, exc) from exc
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def cmd_explore(args) -> int:
     if args.max_states < 1:
-        print("error: --max-states must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--max-states must be >= 1")
+    spec = get_system(args.model)
     try:
-        spec = get_system(args.model)
         bounds = spec.make_bounds(args)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     model = spec.make_model(bounds)
     started = time.perf_counter()
     try:
         result = explore(model, max_states=args.max_states)
     except StateCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         print(canon.dumps({"states": exc.states, "edges": exc.edges, "cap": exc.cap}))
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     graph = result.graph
 
@@ -91,50 +114,42 @@ def cmd_explore(args) -> int:
         print("warning: graph has no sinks; quiescence holds vacuously", file=sys.stderr)
 
     if args.out:
-        try:
-            suitefile.write_graph_file(args.out, spec.name, model.bounds_value(), graph)
-        except OSError as exc:
-            return _file_error(args.out, exc)
+        _write(args.out, suitefile.write_graph_file, spec.name, model.bounds_value(), graph)
     if args.dot:
-        try:
-            Path(args.dot).write_text(dot.export_dot(graph), encoding="utf-8", newline="\n")
-        except OSError as exc:
-            return _file_error(args.dot, exc)
+        _write(args.dot, _write_text, dot.export_dot(graph))
     stats = dict(graph.stats_value())
     stats["explore_seconds"] = round(elapsed, 3)
     print(json.dumps(stats, sort_keys=True))
     return 0
 
 
-def cmd_gensuite(args) -> int:
-    """Cover every edge of a graph file or plain edge list with paths from vertex 1.
+def _cover_graph(path) -> tuple[suitefile.Header, tsg.CoverGraph]:
+    """The header and cover graph of a graph file or of a plain edge list.
 
     A graph file is read by ``suitefile.read_graph_file``, which checks
-    every line as ``run`` does; only the edges' endpoints are kept for the
-    solve.
+    every line as ``run`` does; only the edges' endpoints are kept.
     """
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
+        header, graph = suitefile.read_graph_file(path)
+        return header, graph.cover_graph()
+    data = Path(path).read_bytes()
+    cover = suitefile.parse_edge_list(suitefile.decode_utf8(data))
+    digest = hashlib.sha256(data).hexdigest()
+    return suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest), cover
+
+
+def cmd_gensuite(args) -> int:
+    """Cover every edge of a graph file or plain edge list with paths from vertex 1."""
     algorithm = ALGORITHMS[args.algorithm]
     path = Path(args.graph)
-    try:
-        with open(path, "rb") as handle:
-            first = handle.readline()
-        if first.lstrip().startswith(suitefile.FORMAT_VERSION.encode("ascii")):
-            header, graph = suitefile.read_graph_file(path)
-            cover = graph.cover_graph()
-            del graph
-        else:
-            data = path.read_bytes()
-            cover = suitefile.parse_edge_list(suitefile.decode_utf8(data))
-            digest = hashlib.sha256(data).hexdigest()
-            header = suitefile.Header("edges", "none", canon.Record(), canon.Record(), digest)
-    except (OSError, MalformedInputError) as exc:
-        return _file_error(path, exc)
+    header, cover = _read(path, _cover_graph)
     started = time.perf_counter()
     try:
         suite = algorithm(cover)
     except tsg.UnreachableVertexError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _file_error(path, exc) from exc
     elapsed = time.perf_counter() - started
     report = tsg.verify_coverage(cover, suite)
     if not report.ok:
@@ -142,10 +157,7 @@ def cmd_gensuite(args) -> int:
               file=sys.stderr)
         return VERIFY_ERROR
     if args.out:
-        try:
-            suitefile.write_suite_file(args.out, path, header, suite)
-        except OSError as exc:
-            return _file_error(args.out, exc)
+        _write(args.out, suitefile.write_suite_file, path, header, suite)
     rate = suite.path_count / elapsed if elapsed > 0 else float("inf")
     print(
         json.dumps(
@@ -163,62 +175,41 @@ def cmd_gensuite(args) -> int:
     return 0
 
 
-def _bounds(spec, value):
-    """The system's bounds of a header's ``value``; MalformedInputError for a bad one."""
-    try:
-        return spec.bounds_from_value(value)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(1, f"bad bounds: {exc}") from exc
+def _setup(args, path, reader, header_of, written: str):
+    """Read ``path`` for the system and implementation ``args`` name.
 
-
-def _emulator_maker(spec, mutant: str | None):
-    """The emulator factory of the named mutant, or of the correct implementation.
-
-    None for an unknown mutant, after printing the error.
+    The system and ``--mutant`` are looked up before the file is read.
+    Returns what ``reader`` read and a factory of emulators for the
+    bounds of its header (``header_of`` of it), which must name the
+    system's model.
     """
-    if mutant is None:
-        return spec.make_emulator
-    if mutant not in spec.mutants:
-        known = ", ".join(sorted(spec.mutants)) or "none"
-        print(f"error: unknown mutant {mutant!r} (known: {known})", file=sys.stderr)
-        return None
-    return spec.mutants[mutant]
+    spec = get_system(args.model)
+    make = spec.make_emulator
+    if args.mutant is not None:
+        if args.mutant not in spec.mutants:
+            known = ", ".join(sorted(spec.mutants)) or "none"
+            raise UsageError(f"unknown mutant {args.mutant!r} (known: {known})")
+        make = spec.mutants[args.mutant]
+    read = _read(path, reader)
+    header = header_of(read)
+    if header.model != spec.name:
+        raise UsageError(f"{written} for model {header.model!r}, not {spec.name!r}")
+    try:
+        bounds = spec.bounds_from_value(header.bounds)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: line 1: bad bounds: {exc}") from exc
+    return read, lambda: make(bounds)
 
 
 def cmd_run(args) -> int:
+    suite, emulator = _setup(args, args.suite, suitefile.read_suite_file,
+                             lambda suite: suite.header, "suite was generated")
     try:
-        spec = get_system(args.model)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    make = _emulator_maker(spec, args.mutant)
-    if make is None:
-        return USAGE_ERROR
-    try:
-        suite = suitefile.read_suite_file(args.suite)
-    except MalformedInputError as exc:
-        return _file_error(args.suite, exc)
-    if suite.header.model != spec.name:
-        print(
-            f"error: suite was generated for model {suite.header.model!r}, not {spec.name!r}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    try:
-        bounds = _bounds(spec, suite.header.bounds)
-    except MalformedInputError as exc:
-        return _file_error(args.suite, exc)
-    try:
-        report = run_suite(
-            lambda: make(bounds), suite, fail_fast=args.fail_fast, replay_dir=args.replay_log
-        )
+        report = run_suite(emulator, suite, fail_fast=args.fail_fast, replay_dir=args.replay_log)
     except OSError as exc:  # the emulators do no I/O: a replay log could not be written
-        return _file_error(args.replay_log, exc)
+        raise _file_error(args.replay_log, exc) from exc
     if args.out:
-        try:
-            Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            return _file_error(args.out, exc)
+        _write(args.out, _write_text, report.to_json() + "\n")
     print(json.dumps(report.totals, sort_keys=True))
     rate = len(report.verdicts) / report.wall_time if report.wall_time > 0 else 0.0
     print(
@@ -236,46 +227,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        spec = get_system(args.model)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    make = _emulator_maker(spec, args.mutant)
-    if make is None:
-        return USAGE_ERROR
-    try:  # the log is read, hashed and parsed here, once
-        log = suitefile.read_replay_log(args.log)
-    except MalformedInputError as exc:
-        return _file_error(args.log, exc)
-    if log.model != spec.name:
-        print(f"error: log was written for model {log.model!r}, not {spec.name!r}",
-              file=sys.stderr)
-        return USAGE_ERROR
+    # The log is read, hashed and parsed here, once.
+    log, emulator = _setup(args, args.log, suitefile.read_replay_log, lambda log: log,
+                           "log was written")
     expected_hash = None
     if args.suite:
-        try:
-            expected_hash = suitefile.read_header(args.suite, ("suite",)).content_hash
-        except MalformedInputError as exc:
-            return _file_error(args.suite, exc)
+        expected_hash = _read(args.suite, suitefile.read_header, ("suite",)).content_hash
     try:
-        bounds = _bounds(spec, log.bounds)
-    except MalformedInputError as exc:
-        return _file_error(args.log, exc)
-    try:
-        verdict = replay(log, lambda: make(bounds), expected_hash)
+        verdict = replay(log, emulator, expected_hash)
     except LogVersionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from exc
     print(verdict.to_json())
     return 0 if verdict.passed else VERIFY_ERROR
 
 
 def cmd_stats(args) -> int:
-    try:
-        header = suitefile.read_header(args.file)
-    except MalformedInputError as exc:
-        return _file_error(args.file, exc)
+    header = _read(args.file, suitefile.read_header)
     stats = header.stats
     row = {
         "kind": header.kind,
@@ -351,7 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

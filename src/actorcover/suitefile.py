@@ -9,10 +9,11 @@ Layout (UTF-8, LF newlines, TAB-separated fields):
     P <count> <edge-id> <edge-id>…           suite files: one per path
     R <action> <dst> <state>                 replay logs: one per step
 
-``kind`` is graph, suite or replay.  State index 1 is always the initial
-state and S lines appear in index order; edge ids number the E lines from
-0.  A graph file reads back into the ``explore.TransitionGraph`` it was
-written from.
+``kind`` is graph, suite or replay; ``bounds`` and ``stats`` are records,
+and a header holding any other value there is rejected at line 1.  State
+index 1 is always the initial state and S lines appear in index order;
+edge ids number the E lines from 0.  A graph file reads back into the
+``explore.TransitionGraph`` it was written from.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
 were produced from.  Writers render, hash and write the body a few
@@ -212,6 +213,9 @@ def _parse_header(line: bytes, kinds: tuple[str, ...]) -> Header:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedInputError(1, f"bad header: {exc}") from exc
+    for name in ("bounds", "stats"):
+        if type(getattr(header, name)) is not canon.Record:
+            raise MalformedInputError(1, f"bad header: {name}={parts[name]} is not a record")
     if header.kind not in kinds:
         raise MalformedInputError(1, f"expected a {' or '.join(kinds)} file, found {header.kind}")
     return header
@@ -259,9 +263,9 @@ _PLAIN = json.JSONDecoder(parse_float=canon._no_float, parse_constant=canon._no_
 
 # A plainly decoded JSON value back to text: sorted keys, no spaces, ASCII
 # escapes.  A canonical text renders back to itself.
-_RENDER = json.encoder.c_make_encoder(
-    None, None, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
-)
+_RENDER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+).encode
 
 
 def _members(value):
@@ -307,7 +311,7 @@ class StateParser:
         self._actions: dict[str, Action] = {}
 
     def _value(self, plain):
-        text = "".join(_RENDER(plain, 0))
+        text = _RENDER(plain)
         value = self._values.get(text)
         if value is None:
             value = self._values[text] = canon.loads(text)
@@ -373,7 +377,7 @@ class StateParser:
             globals_=self._value(plain["globals"]),
             # A list, not a set: the constructor sorts it and keeps one event
             # per key, where a set would also merge equal events of two keys.
-            events=[self._event("".join(_RENDER(v, 0))) for v in _members(plain["events"])],
+            events=[self._event(_RENDER(v)) for v in _members(plain["events"])],
         )
 
     def action(self, text: str) -> Action:

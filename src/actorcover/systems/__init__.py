@@ -1,9 +1,10 @@
 """Registry of runnable example systems, keyed by stable model name.
 
 A system's bounds are a frozen dataclass.  ``make_bounds`` builds them
-from the CLI's parsed bounds flags; ``bounds_from_value`` reads them back
-from the record a file header holds (``Model.bounds_value``), one key per
-dataclass field.
+from the CLI's parsed bounds flags and raises ValueError for a bad one,
+such as a ``--faults`` name the system has no action for.
+``bounds_from_value`` reads them back from the record a file header
+holds (``Model.bounds_value``), one key per dataclass field.
 """
 
 from __future__ import annotations
@@ -30,8 +31,20 @@ class SystemSpec:
     mutants: Mapping[str, Callable[[object], Emulator]] = field(default_factory=dict)
 
 
+_KV_FAULTS = ("corrupt", "crash", "drop")
+
+
+def _faults(args: argparse.Namespace) -> set[str]:
+    """The names in ``--faults``; empty items are ignored."""
+    return set(filter(None, args.faults.split(",")))
+
+
 def _kv_bounds(args: argparse.Namespace) -> kv.KvBounds:
-    faults = args.faults.split(",")
+    faults = _faults(args)
+    unknown = sorted(faults.difference(_KV_FAULTS))
+    if unknown:
+        raise ValueError(f"unknown fault {', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(_KV_FAULTS)})")
     return kv.KvBounds(
         actors=args.replicas,
         max_sets=args.max_queries,
@@ -43,6 +56,8 @@ def _kv_bounds(args: argparse.Namespace) -> kv.KvBounds:
 
 
 def _vr_bounds(args: argparse.Namespace) -> vr.VrBounds:
+    if _faults(args):
+        raise ValueError(f"vr has no fault actions: --faults {args.faults} is for kv only")
     return vr.VrBounds(
         replicas=args.replicas, max_queries=args.max_queries, max_views=args.max_views
     )

@@ -819,3 +819,71 @@ def test_a_missing_input_is_named_without_a_line(tmp_path, capsys, argv):
     rc, _out, err = cli(capsys, *[a.format(missing=missing) for a in argv])
     assert rc == 2
     assert err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("value", ["5", "null", '"x"', "[1]", "true"])
+@pytest.mark.parametrize("field", ["bounds", "stats"])
+@pytest.mark.parametrize(
+    "source, argv",
+    [
+        ("graph", ["gensuite", "--graph", "{file}"]),
+        ("graph", ["stats", "{file}"]),
+        ("suite", ["run", "--model", "vr", "--suite", "{file}", "--mutant", "keep-phase2",
+                   "--replay-log", "{dir}/logs"]),
+        ("suite", ["stats", "{file}"]),
+        ("log", ["replay", "--model", "vr", "--log", "{file}"]),
+        ("log", ["stats", "{file}"]),
+    ],
+    ids=["gensuite", "stats-graph", "run", "stats-suite", "replay", "stats-log"],
+)
+def test_a_header_field_that_is_not_a_record_exits_2(built, vr_log, tmp_path, capsys, source,
+                                                      argv, field, value):
+    original = {"graph": built / "graph.ac1", "suite": built / "suite.ac1", "log": vr_log}[source]
+    damaged = tmp_path / original.name
+    header, body = original.read_bytes().split(b"\n", 1)
+    # The content hash leaves the header out, so the file needs no new hash.
+    damaged.write_bytes(with_field(header, field.encode(), value.encode()) + b"\n" + body)
+    rc, out, err = cli(capsys, *[a.format(file=damaged, dir=tmp_path) for a in argv])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {damaged}: line 1: bad header: {field}={value} is not a record\n"
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["--model", "kv", "--faults", "crash,dorp"],
+         "unknown fault 'dorp' (known: corrupt, crash, drop)"),
+        (["--model", "kv", "--faults", "drop,x,,crash,y"],
+         "unknown fault 'x', 'y' (known: corrupt, crash, drop)"),
+        (["--model", "vr", "--faults", "crash"],
+         "vr has no fault actions: --faults crash is for kv only"),
+    ],
+    ids=["kv-typo", "kv-two-unknown", "vr"],
+)
+def test_explore_rejects_bad_faults(tmp_path, capsys, argv, says):
+    rc, out, err = cli(capsys, "explore", *argv, "--replicas", "2", "--max-queries", "1",
+                       "--out", tmp_path / "graph.ac1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: {says}\n"
+    assert not (tmp_path / "graph.ac1").exists()
+
+
+def explored(capsys, *argv):
+    """explore's stats line without its wall time, and its stderr."""
+    rc, out, err = cli(capsys, "explore", *argv, "--replicas", "2", "--max-queries", "1")
+    assert rc == 0
+    stats = json.loads(out)
+    del stats["explore_seconds"]
+    return stats, err
+
+
+@pytest.mark.parametrize(
+    "model, faults, same_as",
+    [("kv", "crash,", "crash"), ("kv", ",crash,,", "crash"), ("kv", ",", ""), ("vr", ",", "")],
+)
+def test_explore_ignores_empty_fault_items(capsys, model, faults, same_as):
+    got = explored(capsys, "--model", model, "--faults", faults)
+    assert got == explored(capsys, "--model", model, "--faults", same_as)
+    if same_as == "crash":
+        assert (got[0]["states"], got[0]["edges"]) == (20, 52)
