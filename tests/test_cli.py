@@ -887,3 +887,29 @@ def test_explore_ignores_empty_fault_items(capsys, model, faults, same_as):
     assert got == explored(capsys, "--model", model, "--faults", same_as)
     if same_as == "crash":
         assert (got[0]["states"], got[0]["edges"]) == (20, 52)
+
+
+def first_action(action):
+    """A graph whose first E line carries ``action``, under a matching hash."""
+    return lambda body: first_edge(body, lambda e: b"\t".join(e.split(b"\t")[:3] + [action]))
+
+
+def test_run_reports_an_illegal_action_and_replays_it(work, capsys):
+    # The first edge leaves state 1; 52 of the 108 paths take it and fail there, together.
+    damage_graph(work, first_action(b'{"kind":"deliver"}'))
+    suite, logs = repin_suite(work), work / "logs"
+    rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite, "--replay-log", logs)
+    assert rc == 1
+    totals, summary, *failures = out.splitlines()
+    assert json.loads(totals) == {"ACTOR_FAILURE": 0, "EVENTS_MISMATCH": 0, "ILLEGAL_ACTION": 52,
+                                  "PASS": 56, "STATE_MISMATCH": 0}
+    assert summary.endswith("; 52 replay logs in 1 files")
+    assert len(failures) == 52
+    assert all(re.fullmatch(r"  path \d+: ILLEGAL_ACTION at step 1: .+", f) for f in failures)
+    assert len({p.stat().st_ino for p in logs.iterdir()}) == 1
+    rc, out, _err = cli(capsys, "replay", "--model", "vr", "--suite", suite,
+                        "--log", sorted(logs.iterdir())[-1])
+    assert rc == 1
+    verdict = json.loads(out)
+    assert (verdict["status"], verdict["failing_step"]) == ("ILLEGAL_ACTION", 1)
+    assert failures[0].endswith(f": {verdict['detail']}")
