@@ -372,19 +372,19 @@ class Emulator:
         Raises IllegalActionError when the action is not legal here and
         ActorFailure when the target actor raises internally.
         """
-        handler = getattr(self, f"_step_{action.kind}")
-        handler(action)
+        if action.event is None and action.kind in (INJECT, DELIVER, DROP, CORRUPT):
+            raise IllegalActionError(f"{action.kind} requires an event")
+        getattr(self, f"_step_{action.kind}")(action)
         return self.snapshot()
 
     def _check_actor(self, target) -> int:
-        if not isinstance(target, int) or not 0 <= target < self.actor_count:
+        # An actor id is a plain int: a bool would pass ``isinstance(target, int)``.
+        if type(target) is not int or not 0 <= target < self.actor_count:
             raise IllegalActionError(f"no such actor: {target!r}")
         return target
 
     def _step_inject(self, action: Action) -> None:
         event = action.event
-        if event is None:
-            raise IllegalActionError("inject requires an event")
         if event.source != EXTERNAL:
             raise IllegalActionError("injected events must come from EXTERNAL")
         self._check_actor(event.destination)
@@ -392,8 +392,6 @@ class Emulator:
 
     def _step_deliver(self, action: Action) -> None:
         event = action.event
-        if event is None:
-            raise IllegalActionError("deliver requires an event selector")
         target = self._check_actor(event.destination)
         if not self.alive[target]:
             raise IllegalActionError(f"actor {target} is crashed")
@@ -408,14 +406,10 @@ class Emulator:
             self.store.insert(request.to_event(target))
 
     def _step_drop(self, action: Action) -> None:
-        if action.event is None:
-            raise IllegalActionError("drop requires an event selector")
         self.store.withdraw(action.event)
 
     def _step_corrupt(self, action: Action) -> None:
         event = action.event
-        if event is None:
-            raise IllegalActionError("corrupt requires an event selector")
         self.store.withdraw(event)
         self.store.insert(Event(event.kind, action.payload, event.source, event.destination))
 

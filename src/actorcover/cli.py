@@ -22,7 +22,7 @@ from . import canon, dot, suitefile, tsg
 from .conformance import LogVersionMismatchError, replay, run_suite
 from .explore import DEFAULT_STATE_CAP, StateCapExceededError, check_quiescent_progress, explore
 from .suitefile import MalformedInputError
-from .systems import REGISTRY, get_system
+from .systems import BOUND_FLAGS, REGISTRY, get_system
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -43,14 +43,14 @@ class UsageError(Exception):
 
 
 def _bounds_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--replicas", type=int, default=3, help="actor/replica count")
-    parser.add_argument("--max-queries", type=int, default=1,
-                        help="client request bound (kv: number of SETs)")
-    parser.add_argument("--max-views", type=int, default=1,
-                        help="view change bound (vr only)")
-    parser.add_argument("--max-gets", type=int, default=0, help="GET bound (kv only)")
-    parser.add_argument("--faults", default="",
-                        help="comma list of kv fault actions: crash,drop,corrupt")
+    # Each flag's help names the bounds field it sets in each model that has it.
+    for flag in BOUND_FLAGS:
+        sets = [f"{spec.name}: {spec.flags[flag]}, default {getattr(spec.bounds, spec.flags[flag])}"
+                for spec in REGISTRY.values() if flag in spec.flags]
+        parser.add_argument("--" + flag.replace("_", "-"), type=int, help="; ".join(sets))
+    faults = "; ".join(f"{spec.name}: {', '.join(spec.faults)}"
+                       for spec in REGISTRY.values() if spec.faults)
+    parser.add_argument("--faults", default="", help=f"comma list of fault actions ({faults})")
 
 
 def _file_error(path, exc: Exception) -> UsageError:
@@ -241,27 +241,22 @@ def cmd_replay(args) -> int:
     return 0 if verdict.passed else VERIFY_ERROR
 
 
+# The header stats each file kind shows, as (label, key): each kind adds to the one before.
+_GRAPH_STATS = (("D", "diameter"), ("|V|", "states"), ("|E|", "edges"))
+_SUITE_STATS = _GRAPH_STATS + (("|P|", "paths"), ("total", "total_length"))
+_SHOWN_STATS = {
+    "graph": _GRAPH_STATS,
+    "suite": _SUITE_STATS,
+    "replay": _SUITE_STATS + (("path", "path"), ("steps", "steps"), ("suite", "suite")),
+}
+
+
 def cmd_stats(args) -> int:
     header = _read(args.file, suitefile.read_header)
-    stats = header.stats
-    row = {
-        "kind": header.kind,
-        "diameter": stats.get("diameter"),
-        "states": stats.get("states"),
-        "edges": stats.get("edges"),
-    }
-    headline = f"D={row['diameter']} |V|={row['states']} |E|={row['edges']}"
-    if header.kind in ("suite", "replay"):
-        row["paths"] = stats.get("paths")
-        row["total_length"] = stats.get("total_length")
-        headline += f" |P|={row['paths']} total={row['total_length']}"
-    if header.kind == "replay":
-        row["path"] = stats.get("path")
-        row["steps"] = stats.get("steps")
-        row["suite"] = stats.get("suite")
-        headline += f" path={row['path']} steps={row['steps']} suite={row['suite']}"
+    shown = _SHOWN_STATS[header.kind]
+    row = {"kind": header.kind, **{key: header.stats.get(key) for _label, key in shown}}
     print(json.dumps(row, sort_keys=True))
-    print(headline)
+    print(" ".join(f"{label}={row[key]}" for label, key in shown))
     return 0
 
 

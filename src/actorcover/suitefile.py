@@ -51,7 +51,9 @@ failing step, self-contained: each R line holds a step's action, the
 index of the state it reaches and that state, so the log replays without
 the suite or its graph.  Its header copies the suite's model, bounds and
 stats, the stats extended with ``path`` (the path's id), ``steps`` (the
-failing step) and ``suite`` (the suite's content hash).  Paths that fail
+failing step, which is the number of R lines) and ``suite`` (the suite's
+content hash); a log whose ``path`` or ``steps`` is not a non-negative int
+or whose ``suite`` is not a sha256 hex digest is rejected.  Paths that fail
 at the same step of a shared prefix share one log: ``run --replay-log``
 writes it once, under the lowest of their ids, and hard-links it under
 the others' names, so ``path`` names that lowest id and editing the file
@@ -70,6 +72,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -83,6 +86,7 @@ from .tsg import CoverGraph, TestSuite
 FORMAT_VERSION = "AC1"
 
 _WRITE_LINES = 512  # body lines rendered, hashed and written together
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 class MalformedInputError(Exception):
@@ -442,10 +446,18 @@ def read_graph_file(path) -> tuple[Header, TransitionGraph]:
 def read_replay_log(path) -> ReplayLog:
     """Check the header and hash, then parse the R lines one at a time."""
     header = read_header(path, ("replay",))
+    stats = header.stats
     try:
-        suite_hash, path_id = header.stats["suite"], header.stats["path"]
+        suite_hash, path_id, length = stats["suite"], stats["path"], stats["steps"]
     except KeyError as exc:
         raise MalformedInputError(1, f"bad header: no {exc} in stats") from exc
+    if type(suite_hash) is not str or not _SHA256.fullmatch(suite_hash):
+        raise MalformedInputError(
+            1, f"bad header: suite={canon.dumps(suite_hash)} is not a sha256 hex digest")
+    for name in ("path", "steps"):
+        if type(stats[name]) is not int or stats[name] < 0:
+            raise MalformedInputError(
+                1, f"bad header: {name}={canon.dumps(stats[name])} is not a non-negative int")
     parser = StateParser()
     steps = []
     for lineno, fields in _body_lines(path):
@@ -455,6 +467,9 @@ def read_replay_log(path) -> ReplayLog:
             steps.append((parser.action(fields[1]), int(fields[2]), parser.state(fields[3])))
         except (ValueError, TypeError, KeyError) as exc:
             raise MalformedInputError(lineno, f"bad replay step: {exc}") from exc
+    if len(steps) != length:
+        raise MalformedInputError(1, f"bad header: steps={length}, but the log has "
+                                     f"{len(steps)} R lines")
     return ReplayLog(header.model, header.bounds, suite_hash, path_id, steps)
 
 

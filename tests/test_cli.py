@@ -7,15 +7,21 @@ import hashlib
 import json
 import re
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from actorcover import canon, dot, suitefile
+from actorcover import canon, dot, suitefile, systems
+from actorcover import cli as cli_module
 from actorcover.actors import EXTERNAL, Action, Event
-from actorcover.cli import main
+from actorcover.cli import build_parser, main
 from actorcover.explore import Edge, TransitionGraph
 from actorcover.model import ModelState
 from actorcover.suitefile import read_header
+from actorcover.systems import get_system
+from actorcover.systems.kv import KvBounds
+from actorcover.systems.vr import VrBounds, VrModel
+from actorcover.tsg import TestSuite
 
 BOUNDS = ("--replicas", "2", "--max-queries", "1", "--max-views", "1")
 KV_TINY = ("--model", "kv", "--replicas", "2", "--max-queries", "1", "--max-gets", "1")
@@ -894,9 +900,16 @@ def first_action(action):
     return lambda body: first_edge(body, lambda e: b"\t".join(e.split(b"\t")[:3] + [action]))
 
 
-def test_run_reports_an_illegal_action_and_replays_it(work, capsys):
+@pytest.mark.parametrize(
+    "action, detail",
+    [(b'{"kind":"deliver"}', "deliver requires an event"),
+     # An actor id is an int, and true is not one, although True == 1.
+     (b'{"kind":"crash","target":true}', "no such actor: True")],
+    ids=["deliver-without-event", "crash-of-true"],
+)
+def test_run_reports_an_illegal_action_and_replays_it(work, capsys, action, detail):
     # The first edge leaves state 1; 52 of the 108 paths take it and fail there, together.
-    damage_graph(work, first_action(b'{"kind":"deliver"}'))
+    damage_graph(work, first_action(action))
     suite, logs = repin_suite(work), work / "logs"
     rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite, "--replay-log", logs)
     assert rc == 1
@@ -905,11 +918,161 @@ def test_run_reports_an_illegal_action_and_replays_it(work, capsys):
                                   "PASS": 56, "STATE_MISMATCH": 0}
     assert summary.endswith("; 52 replay logs in 1 files")
     assert len(failures) == 52
-    assert all(re.fullmatch(r"  path \d+: ILLEGAL_ACTION at step 1: .+", f) for f in failures)
+    assert all(re.fullmatch(rf"  path \d+: ILLEGAL_ACTION at step 1: {re.escape(detail)}", f)
+               for f in failures)
     assert len({p.stat().st_ino for p in logs.iterdir()}) == 1
     rc, out, _err = cli(capsys, "replay", "--model", "vr", "--suite", suite,
                         "--log", sorted(logs.iterdir())[-1])
     assert rc == 1
     verdict = json.loads(out)
-    assert (verdict["status"], verdict["failing_step"]) == ("ILLEGAL_ACTION", 1)
-    assert failures[0].endswith(f": {verdict['detail']}")
+    assert (verdict["status"], verdict["failing_step"], verdict["detail"]) == (
+        "ILLEGAL_ACTION", 1, detail)
+
+
+def one_more(match):
+    return b'"steps":%d' % (int(match.group(1)) + 1)
+
+
+@pytest.mark.parametrize(
+    "pattern, value, says",
+    [
+        (rb'"suite":"[0-9a-f]+"', b'"suite":5', "suite=5 is not a sha256 hex digest"),
+        (rb'"suite":"[0-9a-f]+"', b'"suite":"x"', 'suite="x" is not a sha256 hex digest'),
+        (rb'"suite":"[0-9a-f]+"', b'"suite":null', "suite=null is not a sha256 hex digest"),
+        (rb'"path":\d+', b'"path":[1]', "path=[1] is not a non-negative int"),
+        (rb'"path":\d+', b'"path":-1', "path=-1 is not a non-negative int"),
+        (rb'"path":\d+', b'"path":true', "path=true is not a non-negative int"),
+        (rb'"steps":\d+', b'"steps":"x"', 'steps="x" is not a non-negative int'),
+        (rb'"steps":(\d+)', one_more, "steps={steps}, but the log has {lines} R lines"),
+    ],
+    ids=["suite-5", "suite-x", "suite-null", "path-list", "path-negative", "path-true",
+         "steps-x", "steps-one-too-many"],
+)
+def test_replay_rejects_a_bad_log_header_stat_at_line_1(built, vr_log, tmp_path, capsys,
+                                                         pattern, value, says):
+    log = tmp_path / "bad.replay"
+    header, body = vr_log.read_bytes().split(b"\n", 1)
+    damaged, count = re.subn(pattern, value, header)
+    assert count == 1
+    # The content hash leaves the header out, so the file needs no new hash.
+    log.write_bytes(damaged + b"\n" + body)
+    lines = body.count(b"\n")
+    says = says.format(steps=lines + 1, lines=lines)
+    rc, out, err = cli(capsys, "replay", "--model", "vr", "--log", log,
+                       "--suite", built / "suite.ac1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: {log}: line 1: bad header: {says}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["--model", "kv", "--max-views", "5"], "kv has no --max-views bound"),
+        (["--model", "kv", "--max-views", "1"], "kv has no --max-views bound"),
+        (["--model", "vr", "--max-gets", "3"], "vr has no --max-gets bound"),
+        (["--model", "vr", "--max-gets", "0"], "vr has no --max-gets bound"),
+    ],
+    ids=["kv-max-views", "kv-max-views-at-vr-default", "vr-max-gets", "vr-max-gets-at-kv-default"],
+)
+def test_explore_rejects_a_bound_flag_its_model_has_not(tmp_path, capsys, argv, says):
+    rc, out, err = cli(capsys, "explore", *argv, "--replicas", "2", "--max-queries", "1",
+                       "--out", tmp_path / "graph.ac1")
+    assert (rc, out) == (2, "")
+    assert err == f"error: {says}\n"
+    assert not (tmp_path / "graph.ac1").exists()
+
+
+@pytest.mark.parametrize("model, bounds", [("kv", KvBounds()), ("vr", VrBounds())])
+def test_bound_flags_left_out_take_the_bounds_defaults(model, bounds):
+    args = build_parser().parse_args(["explore", "--model", model])
+    assert get_system(model).make_bounds(args) == bounds
+
+
+def test_explore_exits_1_with_an_invariant_violation_and_its_counterexample(monkeypatch,
+                                                                            capsys):
+    # A model that commits without a quorum breaks prefix consistency after a view change.
+    buggy = replace(systems.REGISTRY["vr"],
+                    make_model=lambda bounds: VrModel(bounds, commit_without_quorum=True))
+    monkeypatch.setitem(systems.REGISTRY, "vr", buggy)
+    rc, out, _err = cli(capsys, "explore", "--model", "vr", "--replicas", "3",
+                        "--max-queries", "2", "--max-views", "1")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[:2] == [
+        'invariant PrefixLogConsistency violated at state 6959: replica 0 committed '
+        '[{"op":1,"view":0}] but replica 1 committed [{"op":2,"view":1}]',
+        "shortest counterexample path from state 1:",
+    ]
+    assert len(lines) == 10
+    assert lines[2].endswith("-> state 5") and lines[-1].endswith("-> state 6959")
+    assert all(re.fullmatch(r"  \{.*\} -> state \d+", line) for line in lines[2:])
+
+
+def test_explore_exits_1_with_a_quiescence_violation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(VrModel, "quiescence_violation", lambda self, state: "stuck")
+    rc, out, _err = cli(capsys, "explore", "--model", "vr", *BOUNDS,
+                        "--out", tmp_path / "graph.ac1")
+    assert (rc, out) == (1, "quiescent sink 114 violates progress: stuck\n")
+    assert not (tmp_path / "graph.ac1").exists()
+
+
+def test_gensuite_exits_1_when_the_suite_leaves_an_edge_uncovered(tmp_path, monkeypatch,
+                                                                   capsys):
+    min_suite = cli_module.ALGORITHMS["min"]
+    monkeypatch.setitem(cli_module.ALGORITHMS, "min",
+                        lambda graph: TestSuite(min_suite(graph).paths[:-1]))
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n1 3\n", encoding="utf-8")
+    rc, out, err = cli(capsys, "gensuite", "--graph", edges, "--out", tmp_path / "suite.ac1")
+    assert (rc, out) == (1, "")
+    assert err == "error: 1 edges uncovered: [1]\n"
+    assert not (tmp_path / "suite.ac1").exists()
+
+
+# Graph size and min suite of vr with one replica, which commits at append.
+ONE_REPLICA = {
+    ("1", "1"): (10, 12, 4, 14),
+    ("2", "1"): (31, 43, 11, 60),
+    ("1", "2"): (19, 24, 6, 31),
+}
+
+
+@pytest.mark.parametrize("queries, views", sorted(ONE_REPLICA))
+def test_one_replica_vr_passes_its_min_suite(tmp_path, capsys, queries, views):
+    graph, suite = tmp_path / "graph.ac1", tmp_path / "suite.ac1"
+    rc, out, _err = cli(capsys, "explore", "--model", "vr", "--replicas", "1",
+                        "--max-queries", queries, "--max-views", views, "--out", graph)
+    assert rc == 0
+    stats = json.loads(out)
+    rc, out, _err = cli(capsys, "gensuite", "--graph", graph, "--out", suite)
+    assert rc == 0
+    gen = json.loads(out)
+    assert (stats["states"], stats["edges"], gen["paths"], gen["total_length"]) == \
+        ONE_REPLICA[queries, views]
+    rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite)
+    assert rc == 0
+    assert json.loads(out.splitlines()[0])["PASS"] == gen["paths"]
+
+
+# Mutant -> failing paths of the 11 by status, at 1 replica, 2 queries and 1 view.
+ONE_REPLICA_KILLS = {
+    "keep-phase2": {},
+    "no-commit-broadcast": {},
+    "prepend-entry": {"STATE_MISMATCH": 8},
+    "skip-commit": {},
+    "stale-prepare": {},
+}
+
+
+def test_one_replica_kill_matrix(tmp_path, capsys):
+    assert set(ONE_REPLICA_KILLS) == set(get_system("vr").mutants)
+    graph, suite = tmp_path / "graph.ac1", tmp_path / "suite.ac1"
+    assert main(["explore", "--model", "vr", "--replicas", "1", "--max-queries", "2",
+                 "--max-views", "1", "--out", str(graph)]) == 0
+    assert main(["gensuite", "--graph", str(graph), "--out", str(suite)]) == 0
+    capsys.readouterr()
+    for mutant, kills in sorted(ONE_REPLICA_KILLS.items()):
+        rc, out, _err = cli(capsys, "run", "--model", "vr", "--suite", suite, "--mutant", mutant)
+        totals = json.loads(out.splitlines()[0])
+        assert {status: n for status, n in totals.items() if n and status != "PASS"} == kills
+        assert (rc, totals["PASS"]) == (1 if kills else 0, 11 - sum(kills.values()))
