@@ -169,6 +169,31 @@ def test_action_log_round_trip():
         assert parsed.key() == action.key()
 
 
+@pytest.mark.parametrize(
+    "value, says",
+    [
+        ({"kind": "explode"}, "unknown action kind 'explode'"),
+        ({"kind": "inject"}, "inject requires an event"),
+        ({"kind": "deliver", "target": 0}, "deliver requires an event"),
+        ({"kind": "drop", "event": _set_event(1, 0).to_value(), "target": 0},
+         "drop takes no target"),
+        ({"kind": "corrupt", "event": _set_event(1, 0).to_value()}, "corrupt requires a payload"),
+        ({"kind": "crash"}, "crash requires a target"),
+        ({"kind": "crash", "target": 0, "drops": []}, "crash takes no drops"),
+        ({"kind": "restart", "target": 0, "payload": 1}, "restart takes no payload"),
+        ({"kind": "restart", "target": 0, "event": _set_event(1, 0).to_value()},
+         "restart takes no event"),
+    ],
+)
+def test_an_action_takes_exactly_the_fields_of_its_kind(value, says):
+    with pytest.raises(ValueError, match=f"^{says}$"):
+        Action.from_value(canon.freeze(value))
+    if "drops" not in value:
+        fields = {k: Event.from_value(v) if k == "event" else v for k, v in value.items()}
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            Action(**fields)
+
+
 @st.composite
 def kv_action_scripts(draw):
     script = draw(

@@ -380,11 +380,11 @@ def repin_suite(work):
 def assert_both_reject(work, capsys, graph, line, says):
     """gensuite, and run through a suite pinned to the damaged graph, reject it at ``line``."""
     rc, _out, err = cli(capsys, "gensuite", "--graph", graph)
-    assert rc == 2
+    assert (rc, err.count("\n")) == (2, 1)
     assert err.startswith(f"error: {graph}: line {line}: {says}"), err
     suite = repin_suite(work)
     rc, _out, err = cli(capsys, "run", "--model", "vr", "--suite", suite)
-    assert rc == 2
+    assert (rc, err.count("\n")) == (2, 1)
     assert err.startswith(f"error: {suite}: line 2: graph file graph.ac1: line {line}: {says}"), err
 
 
@@ -449,9 +449,12 @@ def with_field(header: bytes, name: bytes, value: bytes) -> bytes:
         (lambda log, header, body: rewrite_bytes(
             log, with_field(header, b"bounds", b'{"max_queries":1,"max_views":1,"replicas":0}'),
             body), 1, "bad bounds: replicas must be 1..3"),
+        (lambda log, header, body: rewrite_bytes(
+            log, header, [b"\t".join([b"R", b'{"kind":"deliver"}', *body[0].split(b"\t")[2:]])]
+            + body[1:]), 2, "bad replay step: deliver requires an event"),
     ],
     ids=["empty", "header-not-json", "stats-without-suite", "step-with-3-fields",
-         "bounds-missing-a-field", "bounds-without-replicas"],
+         "bounds-missing-a-field", "bounds-without-replicas", "step-without-an-event"],
 )
 def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, damage, line,
                                                       says):
@@ -459,7 +462,7 @@ def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, 
     header, *body = vr_log.read_bytes().splitlines()
     damage(log, header, body)
     rc, _out, err = cli(capsys, "replay", "--model", "vr", "--log", log)
-    assert rc == 2
+    assert (rc, err.count("\n")) == (2, 1)
     assert err.startswith(f"error: {log}: line {line}: {says}"), err
 
 
@@ -638,6 +641,11 @@ def first_edge(body, replace):
     return body[:at] + [replace(body[at])] + body[at + 1:]
 
 
+def first_action(action):
+    """A graph whose first E line carries ``action``, under a matching hash."""
+    return lambda body: first_edge(body, lambda e: b"\t".join(e.split(b"\t")[:3] + [action]))
+
+
 def state_5(body, replace):
     """Edit the S line of state 5 (line 6), which holds one StartViewChange event."""
     assert body[4].startswith(b"S\t5\t") and body[4].count(b'"kind":') == 1
@@ -677,10 +685,18 @@ def same_bad_action(body):
                                                         b'"queriesCount":{"$set":7}')), 6,
          "bad state: 'int' object is not iterable"),
         (same_bad_action, 313, "bad edge: unknown action kind 'explode'"),
+        # Actions that name the wrong fields for their kind: no emulator can take them.
+        (first_action(b'{"kind":"deliver"}'), 312, "bad edge: deliver requires an event"),
+        (lambda body: first_edge(body, lambda e: e.replace(b'"kind":"inject"',
+                                                           b'"kind":"inject","target":0')),
+         312, "bad edge: inject takes no target"),
+        (first_action(b'{"drops":[],"kind":"crash","target":0}'), 312,
+         "bad edge: crash takes no drops"),
     ],
     ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8",
          "state-without-events", "event-without-kind", "state-is-an-int", "events-not-json",
-         "set-of-an-int", "same-bad-action-twice"],
+         "set-of-an-int", "same-bad-action-twice", "deliver-without-event",
+         "inject-with-a-target", "crash-with-drops"],
 )
 def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, line, says):
     # run reads the same graph through its suite and rejects it at the same line.
@@ -895,17 +911,12 @@ def test_explore_ignores_empty_fault_items(capsys, model, faults, same_as):
         assert (got[0]["states"], got[0]["edges"]) == (20, 52)
 
 
-def first_action(action):
-    """A graph whose first E line carries ``action``, under a matching hash."""
-    return lambda body: first_edge(body, lambda e: b"\t".join(e.split(b"\t")[:3] + [action]))
-
-
 @pytest.mark.parametrize(
     "action, detail",
-    [(b'{"kind":"deliver"}', "deliver requires an event"),
+    [(b'{"kind":"restart","target":0}', "actor 0 is not crashed"),
      # An actor id is an int, and true is not one, although True == 1.
      (b'{"kind":"crash","target":true}', "no such actor: True")],
-    ids=["deliver-without-event", "crash-of-true"],
+    ids=["restart-of-a-live-actor", "crash-of-true"],
 )
 def test_run_reports_an_illegal_action_and_replays_it(work, capsys, action, detail):
     # The first edge leaves state 1; 52 of the 108 paths take it and fail there, together.
