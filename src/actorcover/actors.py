@@ -1,16 +1,16 @@
 """Deterministic single-threaded actor emulation with fault injection.
 
 An :class:`Emulator` owns a fixed number of actors, built by one factory,
-plus a store of unprocessed events and advances only through
+plus a multiset of unprocessed events, and advances only through
 :meth:`Emulator.step`, one :class:`Action` at a time.  Replaying the same
-actions from ``reset`` always yields the same sequence of snapshots; there
-is no clock, no randomness and no thread anywhere in this module.
+actions on a fresh emulator always yields the same sequence of snapshots;
+there is no clock, no randomness and no thread anywhere in this module.
 
 Faults are actions too: events can be dropped or payload-corrupted, actors
 can be crashed (volatile state reset, deliveries refused) and restarted.
 The emulator accepts every fault kind; the model decides which faults
-occur.  A crash never drops pending events implicitly -- the crash action
-lists every dropped event explicitly, which keeps replays exact.
+occur.  A crash drops no event: its messages stay in flight, and a
+message that is lost is its own drop action, which keeps replays exact.
 """
 
 from __future__ import annotations
@@ -34,7 +34,15 @@ CORRUPT = "corrupt"
 CRASH = "crash"
 RESTART = "restart"
 
-ACTION_KINDS = (INJECT, DELIVER, DROP, CORRUPT, CRASH, RESTART)
+# The action kinds, each with the fields it takes; its other fields are None.
+ACTION_FIELDS = {
+    INJECT: ("event",),
+    DELIVER: ("event",),
+    DROP: ("event",),
+    CORRUPT: ("event", "payload"),
+    CRASH: ("target",),
+    RESTART: ("target",),
+}
 
 
 class IllegalActionError(Exception):
@@ -43,12 +51,6 @@ class IllegalActionError(Exception):
 
 class ActorFailure(Exception):
     """An actor raised while handling an event; the test must abort."""
-
-    def __init__(self, actor: int, event: "Event", cause: BaseException):
-        super().__init__(f"actor {actor} failed on {event.key()}: {cause!r}")
-        self.actor = actor
-        self.event = event
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -138,23 +140,34 @@ def send(destination: int, event_kind: str, payload) -> OperationRequest:
 class Action:
     """One transition applied to the system.
 
-    kind      one of ACTION_KINDS
-    event     full canonical event: the payload for INJECT, the selector
-              for DELIVER / DROP / CORRUPT
-    target    actor id for CRASH / RESTART
-    payload   replacement payload for CORRUPT
-    drops     events explicitly dropped by a CRASH
+    Each kind takes exactly the fields ``ACTION_FIELDS`` lists for it:
+
+    kind                     event  target  payload
+    inject, deliver, drop    yes    -       -
+    corrupt                  yes    -       yes
+    crash, restart           -      yes     -
+
+    ``event`` is the full canonical event: the one injected, or the one
+    delivered, dropped or corrupted.  ``target`` is the crashed or
+    restarted actor's id, and ``payload`` the corrupted event's new
+    payload.  A missing or an extra field raises ValueError, so a file
+    line that names the wrong fields for its kind is rejected where it is
+    read.
     """
 
     kind: str
     event: Event | None = None
     target: int | None = None
     payload: object = None
-    drops: tuple[Event, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
+        fields = ACTION_FIELDS.get(self.kind)
+        if fields is None:
             raise ValueError(f"unknown action kind {self.kind!r}")
+        for name, article in (("event", "an"), ("target", "a"), ("payload", "a")):
+            if (getattr(self, name) is None) == (name in fields):
+                raise ValueError(f"{self.kind} requires {article} {name}" if name in fields
+                                 else f"{self.kind} takes no {name}")
         object.__setattr__(self, "payload", canon.freeze(self.payload))
 
     @classmethod
@@ -174,8 +187,8 @@ class Action:
         return cls(CORRUPT, event=event, payload=payload)
 
     @classmethod
-    def crash(cls, target: int, drops: tuple[Event, ...] = ()) -> "Action":
-        return cls(CRASH, target=target, drops=tuple(drops))
+    def crash(cls, target: int) -> "Action":
+        return cls(CRASH, target=target)
 
     @classmethod
     def restart(cls, target: int) -> "Action":
@@ -189,19 +202,20 @@ class Action:
             rec["target"] = self.target
         if self.payload is not None:
             rec["payload"] = self.payload
-        if self.drops:
-            rec["drops"] = tuple(e.to_value() for e in self.drops)
         return canon.Record(rec)
 
     @classmethod
     def from_value(cls, value: canon.Record) -> "Action":
-        """Action of a parsed value."""
+        """Action of a parsed value; ValueError names a key that is no field."""
+        kind = value["kind"]
+        for key in value:
+            if key not in ("kind", "event", "target", "payload"):
+                raise ValueError(f"{kind} takes no {key}")
         return cls(
-            kind=value["kind"],
+            kind=kind,
             event=Event.from_value(value["event"]) if "event" in value else None,
             target=value.get("target"),
             payload=value.get("payload"),
-            drops=tuple(Event.from_value(v) for v in value.get("drops", ())),
         )
 
     def key(self) -> str:
@@ -280,71 +294,29 @@ class Actor(ABC):
         self.__dict__.update(copy.deepcopy(saved))
 
 
-class EventStore:
-    """Multiset of unprocessed events; any contained event may be withdrawn.
-
-    The store counts multiplicity so conservation stays checkable; the
-    snapshot image collapses duplicates to match set-semantics models.
-    """
-
-    def __init__(self):
-        self._counts: Counter[Event] = Counter()
-
-    def insert(self, event: Event) -> None:
-        self._counts[event] += 1
-
-    def contains(self, event: Event) -> bool:
-        return self._counts[event] > 0
-
-    def withdraw(self, event: Event) -> None:
-        """Remove one copy; IllegalActionError when none is present."""
-        if not self.contains(event):
-            raise IllegalActionError(f"event not withdrawable: {event.key()}")
-        self._counts[event] -= 1
-        if self._counts[event] == 0:
-            del self._counts[event]
-
-    def size(self) -> int:
-        """Total multiset cardinality."""
-        return sum(self._counts.values())
-
-    def image(self) -> frozenset[Event]:
-        """Set projection of the multiset."""
-        return frozenset(self._counts.keys())
-
-    def copy(self) -> "EventStore":
-        """An independent store holding the same events."""
-        out = EventStore()
-        out._counts = self._counts.copy()
-        return out
-
-
 class Emulator:
     """Single-threaded emulation of one actor system.
 
-    ``actor_factory(i, actor_count)`` builds actor ``i``.  Not reentrant
-    and not thread-safe; run one instance per test path.
+    ``actor_factory(i, actor_count)`` builds actor ``i``.  ``store``
+    counts each unprocessed event's copies, so conservation stays
+    checkable; a snapshot holds the set of them.  Not reentrant and not
+    thread-safe; run one instance per test path.
     """
 
     def __init__(self, actor_count: int, actor_factory: Callable[[int, int], Actor]):
         if actor_count < 1:
             raise ValueError("actor count must be >= 1")
         self.actor_count = actor_count
-        self.actor_factory = actor_factory
-        self.reset()
-
-    def reset(self) -> None:
-        n = self.actor_count
-        self.actors = [self.actor_factory(i, n) for i in range(n)]
-        self.alive = [True] * n
-        self.store = EventStore()
+        self.actors = [actor_factory(i, actor_count) for i in range(actor_count)]
+        self.alive = [True] * actor_count
+        self.store: Counter[Event] = Counter()
         self._images = [a.to_model() for a in self.actors]
 
     def snapshot(self) -> SystemState:
         return SystemState(
             actors=tuple(self._images),
             alive=tuple(self.alive),
-            events=self.store.image(),
+            events=frozenset(self.store),
         )
 
     def save(self):
@@ -372,8 +344,6 @@ class Emulator:
         Raises IllegalActionError when the action is not legal here and
         ActorFailure when the target actor raises internally.
         """
-        if action.event is None and action.kind in (INJECT, DELIVER, DROP, CORRUPT):
-            raise IllegalActionError(f"{action.kind} requires an event")
         getattr(self, f"_step_{action.kind}")(action)
         return self.snapshot()
 
@@ -383,35 +353,45 @@ class Emulator:
             raise IllegalActionError(f"no such actor: {target!r}")
         return target
 
+    def _withdraw(self, event: Event) -> None:
+        """Remove one copy of ``event``; IllegalActionError when none is in flight."""
+        count = self.store[event]
+        if not count:
+            raise IllegalActionError(f"event not withdrawable: {event.key()}")
+        if count == 1:
+            del self.store[event]
+        else:
+            self.store[event] = count - 1
+
     def _step_inject(self, action: Action) -> None:
         event = action.event
         if event.source != EXTERNAL:
             raise IllegalActionError("injected events must come from EXTERNAL")
         self._check_actor(event.destination)
-        self.store.insert(event)
+        self.store[event] += 1
 
     def _step_deliver(self, action: Action) -> None:
         event = action.event
         target = self._check_actor(event.destination)
         if not self.alive[target]:
             raise IllegalActionError(f"actor {target} is crashed")
-        self.store.withdraw(event)
+        self._withdraw(event)
         actor = self.actors[target]
         try:
             requests = actor.on_event(event)
         except Exception as exc:
-            raise ActorFailure(target, event, exc) from exc
+            raise ActorFailure(f"actor {target} failed on {event.key()}: {exc!r}") from exc
         self._images[target] = actor.to_model()
         for request in requests:
-            self.store.insert(request.to_event(target))
+            self.store[request.to_event(target)] += 1
 
     def _step_drop(self, action: Action) -> None:
-        self.store.withdraw(action.event)
+        self._withdraw(action.event)
 
     def _step_corrupt(self, action: Action) -> None:
         event = action.event
-        self.store.withdraw(event)
-        self.store.insert(Event(event.kind, action.payload, event.source, event.destination))
+        self._withdraw(event)
+        self.store[Event(event.kind, action.payload, event.source, event.destination)] += 1
 
     def _step_crash(self, action: Action) -> None:
         target = self._check_actor(action.target)
@@ -421,8 +401,6 @@ class Emulator:
         actor = self.actors[target]
         actor.reset_volatile()
         self._images[target] = actor.to_model()
-        for event in action.drops:
-            self.store.withdraw(event)
 
     def _step_restart(self, action: Action) -> None:
         target = self._check_actor(action.target)

@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 verification failure (invariant violations or
 non-passing paths), 2 usage or input-format errors.  A usage or input
 error is one ``error: <why>`` line on stderr, ``<why>`` starting with the
 file's path when a file is at fault; commands raise it as ``UsageError``,
-and only ``main`` prints it and returns 2.  All file outputs are
-byte-deterministic for identical inputs and flags; wall-clock figures are
-printed to the console only.
+and only ``main`` prints it and returns 2.  An output that cannot be
+written is such an error, stdout too: a pipe whose reader has gone gives
+``error: stdout: Broken pipe``.  All file outputs are byte-deterministic
+for identical inputs and flags; wall-clock figures are printed to the
+console only.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import canon, dot, suitefile, tsg
-from .conformance import LogVersionMismatchError, replay, run_suite
+from .conformance import replay, run_suite
 from .explore import DEFAULT_STATE_CAP, StateCapExceededError, check_quiescent_progress, explore
 from .suitefile import MalformedInputError
 from .systems import BOUND_FLAGS, REGISTRY, get_system
@@ -79,6 +82,14 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _counterexample(graph, index: int) -> int:
+    """Print the BFS tree path from state 1 to state ``index``; returns VERIFY_ERROR."""
+    print("shortest counterexample path from state 1:")
+    for edge in graph.tree_path(index):
+        print(f"  {edge.action.key()} -> state {edge.destination}")
+    return VERIFY_ERROR
+
+
 def cmd_explore(args) -> int:
     if args.max_states < 1:
         raise UsageError("--max-states must be >= 1")
@@ -100,16 +111,13 @@ def cmd_explore(args) -> int:
     if result.violations:
         first = result.violations[0]
         print(f"invariant {first.name} violated at state {first.state_index}: {first.detail}")
-        print("shortest counterexample path from state 1:")
-        for action, dest in result.counterexample:
-            print(f"  {action.key()} -> state {dest}")
-        return VERIFY_ERROR
+        return _counterexample(graph, first.state_index)
 
     quiescence = check_quiescent_progress(graph, model)
     if quiescence.violations:
         first = quiescence.violations[0]
         print(f"quiescent sink {first.state_index} violates progress: {first.detail}")
-        return VERIFY_ERROR
+        return _counterexample(graph, first.state_index)
     if quiescence.no_sinks:
         print("warning: graph has no sinks; quiescence holds vacuously", file=sys.stderr)
 
@@ -230,13 +238,12 @@ def cmd_replay(args) -> int:
     # The log is read, hashed and parsed here, once.
     log, emulator = _setup(args, args.log, suitefile.read_replay_log, lambda log: log,
                            "log was written")
-    expected_hash = None
     if args.suite:
-        expected_hash = _read(args.suite, suitefile.read_header, ("suite",)).content_hash
-    try:
-        verdict = replay(log, emulator, expected_hash)
-    except LogVersionMismatchError as exc:
-        raise UsageError(str(exc)) from exc
+        expected = _read(args.suite, suitefile.read_header, ("suite",)).content_hash
+        if log.suite_hash != expected:
+            raise UsageError(f"log pinned to suite {log.suite_hash[:12]}, "
+                             f"current is {expected[:12]}")
+    verdict = replay(log, emulator)
     print(verdict.to_json())
     return 0 if verdict.passed else VERIFY_ERROR
 
@@ -314,10 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a closed reader shows here and not in the
+        # interpreter's exit flush; print does nothing when stdout is None.
+        print(end="", flush=True)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except BrokenPipeError as exc:
+        # Nothing more reaches the reader; what stdout still buffers goes nowhere.
+        sys.stdout = open(os.devnull, "w")
+        print(f"error: {_file_error('stdout', exc)}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -52,10 +52,6 @@ ACTOR_FAILURE = "ACTOR_FAILURE"
 STATUSES = (PASS, STATE_MISMATCH, EVENTS_MISMATCH, ILLEGAL_ACTION, ACTOR_FAILURE)
 
 
-class LogVersionMismatchError(Exception):
-    """The replay log is pinned to another suite than the one it is checked against."""
-
-
 @dataclass
 class Verdict:
     path_id: int
@@ -258,21 +254,13 @@ def run_suite(
     return RunReport(totals, verdicts, elapsed, logs, executed, files)
 
 
-def replay(
-    log,
-    emulator_factory: Callable[[], Emulator],
-    expected_suite_hash: str | None = None,
-) -> Verdict:
+def replay(log, emulator_factory: Callable[[], Emulator]) -> Verdict:
     """Re-execute a logged path; reproduces the original verdict exactly.
 
     ``log`` is a ``ReplayLog`` or the path of a log file to read.
     """
     if not isinstance(log, ReplayLog):
         log = read_replay_log(log)
-    if expected_suite_hash is not None and log.suite_hash != expected_suite_hash:
-        raise LogVersionMismatchError(
-            f"log pinned to suite {log.suite_hash[:12]}, current is {expected_suite_hash[:12]}"
-        )
     emulator = emulator_factory()
     for step_index, (action, _dest, expected) in enumerate(log.steps, start=1):
         failure = check_step(emulator, action, expected)

@@ -392,7 +392,6 @@ class StateParser:
             action = self._actions[text] = replace(
                 action,
                 event=None if action.event is None else self._event(action.event.key()),
-                drops=tuple(self._event(e.key()) for e in action.drops),
             )
         return action
 

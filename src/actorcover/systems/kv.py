@@ -224,8 +224,6 @@ class KvModel(Model):
         target = action.target
         if not state.alive[target]:
             raise GuardViolationError(f"actor {target} is already crashed")
-        if action.drops:
-            raise GuardViolationError("this model crashes without dropping events")
         alive = list(state.alive)
         alive[target] = False
         return ModelState(state.actors, tuple(alive), state.globals_, state.events)

@@ -27,7 +27,6 @@ each generator is a deterministic function of the input graph.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .flow import BoundedEdge, solve_circulation
@@ -257,23 +256,3 @@ def verify_coverage(graph: CoverGraph, suite: TestSuite) -> CoverageReport:
     uncovered = [eid for eid, c in enumerate(hits) if c == 0]
     bound = (diameter(graph) + 1) * len(graph.edges)
     return CoverageReport(uncovered, suite.path_count, suite.total_length, bound)
-
-
-def random_cover_graph(rng: random.Random, max_vertices: int, max_edges: int) -> CoverGraph:
-    """Random single-source multigraph; reachability holds by construction.
-
-    Each vertex beyond the source first gets an edge from an
-    already-reachable vertex, then extra edges (parallels and self-loops
-    included) are sprinkled up to the edge budget.
-    """
-    n = rng.randint(1, max_vertices)
-    edges: list[tuple[int, int]] = []
-    for v in range(2, n + 1):
-        edges.append((rng.randint(1, v - 1), v))
-    extra = rng.randint(0, max(0, max_edges - len(edges)))
-    for _ in range(extra):
-        edges.append((rng.randint(1, n), rng.randint(1, n)))
-    rng.shuffle(edges)
-    # A shuffle may place a vertex's first incoming edge after edges that
-    # leave it; reachability is unaffected (edge order is only an id order).
-    return CoverGraph(n, edges)

@@ -8,6 +8,9 @@ suite reaches, not how a step is judged; and
 ``DecodingStateParser`` builds each state part through ``canon.loads`` and the
 model types as the file reader does, because what it checks is how the reader
 finds a state's parts, not how a part is built.
+
+``random_cover_graph`` makes the random graphs the cover solvers are
+checked on.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import random
 from collections import deque
 from collections.abc import Mapping
 
@@ -179,7 +183,7 @@ def product_search(emulator_factory, graph) -> tuple[dict[int, set], set[int]]:
 
     def key():
         snapshot = emulator.snapshot()
-        return snapshot.actors, snapshot.alive, frozenset(emulator.store._counts.items())
+        return snapshot.actors, snapshot.alive, frozenset(emulator.store.items())
 
     reached = {1: {key()}}
     frontier = set()
@@ -254,3 +258,25 @@ class DecodingStateParser:
             globals_=self._value(plain["globals"]),
             events=frozenset(self._event(v) for v in self._members(plain["events"])),
         )
+
+
+def random_cover_graph(rng: random.Random, max_vertices: int, max_edges: int) -> CoverGraph:
+    """Random single-source multigraph; reachability holds by construction.
+
+    Each vertex beyond the source first gets an edge from an
+    already-reachable vertex, then extra edges (parallels and self-loops
+    included) are sprinkled up to the edge budget.
+    """
+    from actorcover.tsg import CoverGraph
+
+    n = rng.randint(1, max_vertices)
+    edges: list[tuple[int, int]] = []
+    for v in range(2, n + 1):
+        edges.append((rng.randint(1, v - 1), v))
+    extra = rng.randint(0, max(0, max_edges - len(edges)))
+    for _ in range(extra):
+        edges.append((rng.randint(1, n), rng.randint(1, n)))
+    rng.shuffle(edges)
+    # A shuffle may place a vertex's first incoming edge after edges that
+    # leave it; reachability is unaffected (edge order is only an id order).
+    return CoverGraph(n, edges)

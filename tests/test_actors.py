@@ -68,7 +68,7 @@ def test_inject_then_deliver_single_actor():
     emu.step(Action.inject(_set_event(1, 0)))
     snap = emu.step(Action.deliver(_set_event(1, 0)))
     # The store holds exactly the one self-notification the set produced.
-    assert emu.store.size() == 1
+    assert emu.store.total() == 1
     (left,) = snap.events
     assert left.kind == "KeyUpdated"
 
@@ -110,14 +110,6 @@ def test_crash_preserves_persistent_state():
     assert snap.alive == (True,)
 
 
-def test_crash_drops_only_listed_events():
-    emu = kv_emulator(2)
-    emu.step(Action.inject(_set_event(1, 0)))
-    emu.step(Action.inject(_set_event(1, 1)))
-    snap = emu.step(Action.crash(0, drops=(_set_event(1, 0),)))
-    assert snap.events == frozenset({_set_event(1, 1)})
-
-
 def test_corrupt_replaces_payload_only():
     emu = kv_emulator(1)
     emu.step(Action.inject(_set_event(1, 0)))
@@ -133,33 +125,33 @@ def test_snapshot_collapses_duplicates_but_store_counts_them():
     emu = kv_emulator(1)
     emu.step(Action.inject(_set_event(1, 0)))
     emu.step(Action.inject(_set_event(1, 0)))
-    assert emu.store.size() == 2
+    assert emu.store.total() == 2
     assert emu.snapshot().events == frozenset({_set_event(1, 0)})
 
 
 def test_conservation_on_deliver():
     emu = kv_emulator(3)
     emu.step(Action.inject(_set_event(1, 2)))
-    size_before = emu.store.size()
+    size_before = emu.store.total()
     emu.step(Action.deliver(_set_event(1, 2)))
     # One withdrawn, three notifications produced.
-    assert emu.store.size() == size_before - 1 + 3
+    assert emu.store.total() == size_before - 1 + 3
 
 
 def test_actor_exception_becomes_actor_failure():
     event = Event("Bogus", {}, EXTERNAL, 0)
     emu = kv_emulator(1)
-    emu.store.insert(event)
+    emu.store[event] += 1
     with pytest.raises(ActorFailure):
         emu.step(Action.deliver(event))
 
 
 def test_action_log_round_trip():
-    """Every action kind, crash drops and corrupt payloads included, survives its key."""
+    """Every action kind, corrupt payloads included, survives its key."""
     actions = [
         Action.inject(_set_event(1, 0)),
         Action.deliver(_set_event(1, 0)),
-        Action.crash(0, drops=(_set_event(2, 0),)),
+        Action.crash(0),
         Action.corrupt(_set_event(3, 0), {"key": KEY, "value": "corrupt:v3"}),
         Action.restart(0),
     ]
@@ -275,7 +267,7 @@ def injected_emulator(actor_cls):
 def step_some(emulator, count):
     """Deliver ``count`` pending events, rotating through them in key order."""
     for i in range(count):
-        pending = sorted((e for e in emulator.store.image() if e.destination != EXTERNAL),
+        pending = sorted((e for e in emulator.store if e.destination != EXTERNAL),
                          key=Event.key)
         emulator.step(Action.deliver(pending[i % len(pending)]))
 

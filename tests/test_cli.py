@@ -3,11 +3,16 @@
 The dot export and the single-worker flags are checked on a tiny kv graph.
 """
 
+import errno
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -1023,8 +1028,99 @@ def test_explore_exits_1_with_a_quiescence_violation(tmp_path, monkeypatch, caps
     monkeypatch.setattr(VrModel, "quiescence_violation", lambda self, state: "stuck")
     rc, out, _err = cli(capsys, "explore", "--model", "vr", *BOUNDS,
                         "--out", tmp_path / "graph.ac1")
-    assert (rc, out) == (1, "quiescent sink 114 violates progress: stuck\n")
+    assert rc == 1
+    # The sink's BFS tree path is printed as an invariant's counterexample is.
+    lines = out.splitlines()
+    assert lines[:2] == ["quiescent sink 114 violates progress: stuck",
+                         "shortest counterexample path from state 1:"]
+    # Seven steps: a view change to view 1, then the one request, injected and delivered.
+    assert len(lines) == 2 + 7
+    assert lines[2].endswith("-> state 5") and lines[-1].endswith("-> state 114")
+    assert all(re.fullmatch(r"  \{.*\} -> state \d+", line) for line in lines[2:])
     assert not (tmp_path / "graph.ac1").exists()
+
+
+def _request(op):
+    return "Request", -1, 0, {"op": op}
+
+
+def _prepare(to, op, pos):
+    return "Prepare", 0, to, {"commit": 0, "entry": {"op": op, "view": 0}, "pos": pos, "view": 0}
+
+
+def _commit(to):
+    return "Commit", 0, to, {"commit": 2, "view": 0}
+
+
+# The tree path to the first sink that vr r3 q2 v0 finds stuck: (action
+# kind, event kind, source, destination, payload, state reached).  Replica
+# 1 takes Commit(2) with one entry in its log, and no later message
+# carries commit 2.
+PATH_TO_SINK_548 = [
+    ("inject", *_request(1), 2),
+    ("inject", *_request(2), 6),
+    ("deliver", *_request(1), 22),
+    ("deliver", *_request(2), 31),
+    ("deliver", *_prepare(2, 1, 1), 50),
+    ("deliver", *_prepare(2, 2, 2), 80),
+    ("deliver", *_prepare(1, 1, 1), 129),
+    ("deliver", "PrepareOk", 2, 0, {"pos": 2, "view": 0}, 261),
+    ("deliver", *_commit(1), 342),
+    ("deliver", *_prepare(1, 2, 2), 421),
+    ("deliver", *_commit(2), 548),
+]
+
+
+def test_explore_prints_the_path_to_a_sink_that_violates_progress(capsys):
+    rc, out, err = cli(capsys, "explore", "--model", "vr", "--replicas", "3",
+                       "--max-queries", "2", "--max-views", "0")
+    assert (rc, err) == (1, "")
+    first, header, *steps = out.splitlines()
+    assert first == "quiescent sink 548 violates progress: replica 1 committed 1 of 2 log entries"
+    assert header == "shortest counterexample path from state 1:"
+    got = []
+    for line in steps:
+        action, state = re.fullmatch(r"  (\{.*\}) -> state (\d+)", line).groups()
+        action = json.loads(action)
+        event = action.pop("event")
+        assert list(action) == ["kind"]
+        got.append((action["kind"], event["kind"], event["source"], event["destination"],
+                    event["payload"], int(state)))
+    assert got == PATH_TO_SINK_548
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line(work, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = main(["run", "--model", "vr", "--suite", str(work / "suite.ac1")])
+    devnull, sys.stdout = sys.stdout, sys.__stdout__
+    devnull.close()
+    assert devnull.name == os.devnull
+    assert (rc, capsys.readouterr().err) == (2, "error: stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["run", "--model", "vr", "--mutant", "keep-phase2", "--suite"],
+                                  ["stats"]], ids=["while-running", "at-the-exit-flush"])
+def test_a_pipe_whose_reader_has_gone_exits_2_without_a_traceback(work, argv):
+    # run fails 75 paths and prints a line for each, past stdout's buffer;
+    # stats prints two lines, which reach the pipe only when main flushes.
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(cli_module.__file__).parents[1]
+    with open(write, "wb") as stdout:
+        done = subprocess.run([sys.executable, "-m", "actorcover.cli", *argv, work / "suite.ac1"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (2, "error: stdout: Broken pipe\n")
 
 
 def test_gensuite_exits_1_when_the_suite_leaves_an_edge_uncovered(tmp_path, monkeypatch,

@@ -112,19 +112,19 @@ def test_the_parser_keeps_true_and_one_apart():
 def test_actions_share_their_events_with_the_states():
     texts = [
         Action.deliver(_set_event(1, 0)).key(),
-        Action.crash(0, drops=(_set_event(1, 0), _set_event(2, 0))).key(),
+        Action.drop(_set_event(1, 0)).key(),
         '{"event":{"destination":0,"kind":"K","payload":{"a":1},"source":-1},"kind":"inject"}',
         '{"event":{"destination":0,"kind":"K","payload":{"a":true},"source":-1},"kind":"inject"}',
     ]
     parser = StateParser()
     state = parser.state(_state_text('{"a":true}'))
-    deliver, crash, one, true = map(parser.action, texts)
+    deliver, drop, one, true = map(parser.action, texts)
     assert parser.action(texts[0]) is deliver
-    assert deliver.event is crash.drops[0]
-    assert [a.key() for a in (deliver, crash, one, true)] == texts
+    assert deliver.event is drop.event
+    assert [a.key() for a in (deliver, drop, one, true)] == texts
     assert one.event == true.event and one.event is not true.event
     assert true.event in state.events and one.event in state.events
-    assert_parts_shared_by_text([*_parts(state), deliver.event, *crash.drops, one.event, true.event])
+    assert_parts_shared_by_text([*_parts(state), deliver.event, one.event, true.event])
 
 
 def _events_by_key(state: ModelState) -> list[Event]:

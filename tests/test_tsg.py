@@ -15,11 +15,10 @@ from actorcover.tsg import (
     euler_circuit,
     flow_suite,
     min_suite,
-    random_cover_graph,
     verify_coverage,
 )
 from conftest import BENCH_MODELS
-from oracles import min_total_cover_length
+from oracles import min_total_cover_length, random_cover_graph
 
 CHAIN = CoverGraph(3, [(1, 2), (2, 3)])
 STAR5 = CoverGraph(6, [(1, k) for k in range(2, 7)])
