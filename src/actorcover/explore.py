@@ -114,7 +114,6 @@ class TransitionGraph:
 class ExploreResult:
     graph: TransitionGraph
     violations: list[InvariantViolation]
-    counterexample: list[tuple[Action, int]] | None = None
 
     @property
     def ok(self) -> bool:
@@ -125,8 +124,8 @@ def explore(model: Model, max_states: int = DEFAULT_STATE_CAP) -> ExploreResult:
     """BFS the model from its initial state under the hard state cap.
 
     Invariants are checked at every discovered state.  After a violation
-    the current level is finished and exploration stops, so the reported
-    counterexample path is shortest.
+    the current level is finished and exploration stops, so the graph's
+    tree path to the first violating state is a shortest counterexample.
 
     The cyclic garbage collector is paused while the graph is built, and
     its previous state restored however explore ends.  Explore keeps
@@ -186,12 +185,7 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
             edges.append(Edge(src, action, index_of[succ]))
         frontier = [index_of[succ] for succ in level]
 
-    graph = TransitionGraph(states, edges)
-    counterexample = None
-    if violations:
-        path = graph.tree_path(violations[0].state_index)
-        counterexample = [(e.action, e.destination) for e in path]
-    return ExploreResult(graph, violations, counterexample)
+    return ExploreResult(TransitionGraph(states, edges), violations)
 
 
 @dataclass

@@ -161,9 +161,9 @@ def test_invariant_violation_has_shortest_counterexample():
     assert result.violations
     violation = result.violations[0]
     assert violation.name == "BelowFailure"
-    assert result.counterexample is not None
-    assert len(result.counterexample) == 4  # four ticks reach the bad state
-    assert result.counterexample[-1][1] == violation.state_index
+    path = result.graph.tree_path(violation.state_index)
+    assert len(path) == 4  # four ticks reach the bad state
+    assert path[-1].destination == violation.state_index
 
 
 def test_commutativity_diamond_on_kv_graph():

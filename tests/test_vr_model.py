@@ -293,22 +293,20 @@ def test_commit_without_quorum_bug_is_caught_by_invariant():
     result = explore(model, max_states=400_000)
     names = {v.name for v in result.violations}
     assert "PrefixLogConsistency" in names
-    assert result.counterexample is not None
     assert len(result.violations) == 4
     assert (
         digest_lines((v.state_index, v.name, v.detail) for v in result.violations)
         == QUORUM_BUG_VIOLATIONS
     )
-    assert (
-        digest_lines((action.key(), index) for action, index in result.counterexample)
-        == QUORUM_BUG_COUNTEREXAMPLE
-    )
+    violation = result.violations[0]
+    path = result.graph.tree_path(violation.state_index)
+    assert (digest_lines((e.action.key(), e.destination) for e in path)
+            == QUORUM_BUG_COUNTEREXAMPLE)
     # The counterexample replays from the initial state to the bad state.
     state = model.initial_state()
-    for action, _dest in result.counterexample:
-        state = model.apply(state, action)
-    violation = result.violations[0]
-    assert violation.state_index == result.counterexample[-1][1]
+    for edge in path:
+        state = model.apply(state, edge.action)
+    assert violation.state_index == path[-1].destination
     assert model._check_prefix_consistency(state) is not None
 
 
