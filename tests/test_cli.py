@@ -697,11 +697,13 @@ def same_bad_action(body):
          312, "bad edge: inject takes no target"),
         (first_action(b'{"drops":[],"kind":"crash","target":0}'), 312,
          "bad edge: crash takes no drops"),
+        # A kind that is none takes no fields at all; the kind is named, not a key.
+        (first_action(b'{"kind":"explode","x":1}'), 312, "bad edge: unknown action kind 'explode'"),
     ],
     ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8",
          "state-without-events", "event-without-kind", "state-is-an-int", "events-not-json",
          "set-of-an-int", "same-bad-action-twice", "deliver-without-event",
-         "inject-with-a-target", "crash-with-drops"],
+         "inject-with-a-target", "crash-with-drops", "unknown-kind-with-a-stray-key"],
 )
 def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, line, says):
     # run reads the same graph through its suite and rejects it at the same line.
