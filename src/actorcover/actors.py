@@ -206,10 +206,10 @@ class Action:
 
     @classmethod
     def from_value(cls, value: canon.Record) -> "Action":
-        """Action of a parsed value; ValueError names a key that is no field."""
+        """Action of a parsed value; ValueError names an unknown kind or a key that is no field."""
         kind = value["kind"]
         for key in value:
-            if key not in ("kind", "event", "target", "payload"):
+            if key not in cls.__dataclass_fields__ and kind in ACTION_FIELDS:
                 raise ValueError(f"{kind} takes no {key}")
         return cls(
             kind=kind,
