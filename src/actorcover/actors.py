@@ -149,10 +149,12 @@ class Action:
 
     ``event`` is the full canonical event: the one injected, or the one
     delivered, dropped or corrupted.  ``target`` is the crashed or
-    restarted actor's id, and ``payload`` the corrupted event's new
-    payload.  A missing or an extra field raises ValueError, so a file
-    line that names the wrong fields for its kind is rejected where it is
-    read.
+    restarted actor's id, a plain non-negative int, and ``payload`` the
+    corrupted event's new payload.  A missing or an extra field, or a
+    target that is no such int, raises ValueError, so a file line that
+    names the wrong fields for its kind is rejected where it is read.
+    Whether the target names an actor of the model is the emulator's
+    check.
     """
 
     kind: str
@@ -168,6 +170,9 @@ class Action:
             if (getattr(self, name) is None) == (name in fields):
                 raise ValueError(f"{self.kind} requires {article} {name}" if name in fields
                                  else f"{self.kind} takes no {name}")
+        # An actor id is a plain int: a bool would pass ``isinstance(target, int)``.
+        if self.target is not None and (type(self.target) is not int or self.target < 0):
+            raise ValueError(f"{self.kind} target {self.target!r} is not an actor id")
         object.__setattr__(self, "payload", canon.freeze(self.payload))
 
     @classmethod

@@ -85,8 +85,9 @@ def _write_text(path, text: str) -> None:
 def _counterexample(graph, index: int) -> int:
     """Print the BFS tree path from state 1 to state ``index``; returns VERIFY_ERROR."""
     print("shortest counterexample path from state 1:")
-    for edge in graph.tree_path(index):
-        print(f"  {edge.action.key()} -> state {edge.destination}")
+    for eid in graph.tree_path(index):
+        action = graph.actions[graph.action_ids[eid]]
+        print(f"  {action.key()} -> state {graph.destinations[eid]}")
     return VERIFY_ERROR
 
 

@@ -161,6 +161,7 @@ def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], dict[int
     lowest path id is the lead of each of them.
     """
     graph, paths = suite.graph, suite.paths
+    actions, action_ids, destinations = graph.actions, graph.action_ids, graph.destinations
     order = sorted(range(len(paths)), key=paths.__getitem__)
     verdicts = [None] * len(paths)
     leads = {}
@@ -185,10 +186,10 @@ def _walk(emulator: Emulator, suite: SuiteFile) -> tuple[list[Verdict], dict[int
                     saved = emulator.save()
                 stack.append((end, hi, depth, saved))
             hi, saved = end, None
-            edge = graph.edges[eid]
             executed += 1
             depth += 1
-            failure = check_step(emulator, edge.action, graph.state(edge.destination))
+            failure = check_step(emulator, actions[action_ids[eid]],
+                                 graph.state(destinations[eid]))
             if failure is not None:
                 status, detail = failure
                 ids = order[lo:hi]

@@ -20,8 +20,8 @@ def export_dot(graph: TransitionGraph) -> str:
     out = ["digraph transitions {"]
     for i in range(1, graph.state_count + 1):
         out.append(f'  {i} [label="{i}"];')
-    for edge in graph.edges:
-        label = _escape(edge.action.key())
-        out.append(f'  {edge.source} -> {edge.destination} [label="{label}"];')
+    labels = [_escape(action.key()) for action in graph.actions]
+    for src, aid, dst in zip(graph.sources, graph.action_ids, graph.destinations):
+        out.append(f'  {src} -> {dst} [label="{labels[aid]}"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -7,10 +7,20 @@ synchronous: each BFS level's new states are sorted by canonical key
 makes the resulting indices (and therefore every file derived from the
 graph) identical across runs and processes.
 
+A graph's edges are three ``array('I')`` columns, ``sources``,
+``action_ids`` and ``destinations`` (12 bytes an edge); an edge id is a
+position in them, and ``actions`` holds each distinct action once, in
+first-use order.  Explore streams each level into the columns: an
+edge's source and action id are appended as its action is expanded, a
+successor that already has an index is mapped to it at once, and one
+object is kept per successor new on this level, so no per-edge object
+or expansion list is held.  The level's destinations are filled in once
+its new states are sorted and indexed.
+
 Each level's edges are appended in expansion order, so a state's first
-incoming edge is the one that discovered it: the first edge into each
-state other than 1 is its BFS tree edge.  The counterexample path and the
-diameter are read off that tree, with no parent table or second BFS.
+incoming edge is the one that discovered it: the first edge id into each
+state other than 1 is its BFS tree edge.  The counterexample path and
+the diameter are read off that tree, with no parent table or second BFS.
 
 :class:`TransitionGraph` is the pipeline's one graph type: ``explore``
 builds it, and ``suitefile.read_graph_file`` reads it back for ``run``,
@@ -21,7 +31,9 @@ edges' endpoints (:meth:`TransitionGraph.cover_graph`).
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from array import array
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from . import canon
 from .actors import Action
@@ -41,19 +53,36 @@ class StateCapExceededError(Exception):
         self.edges = edges
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    source: int
-    action: Action
-    destination: int
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector; its previous state is restored however the block ends.
+
+    For the two graph builders, ``explore`` and ``suitefile.read_graph_file``.
+    Each keeps everything it allocates, so a collection there can free
+    nothing, yet each full one rescans the whole graph built so far.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
 class TransitionGraph:
-    """Single-source labeled transition multigraph; immutable once built."""
+    """Single-source labeled transition multigraph; immutable once built.
 
-    states: list[ModelState] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    Edge ``k`` leaves state ``sources[k]`` by the action
+    ``actions[action_ids[k]]`` and reaches state ``destinations[k]``.
+    """
+
+    states: list[ModelState]
+    actions: list[Action]
+    sources: array
+    action_ids: array
+    destinations: array
 
     @property
     def state_count(self) -> int:
@@ -61,7 +90,7 @@ class TransitionGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
 
     def state(self, index: int) -> ModelState:
         """1-based lookup; index 1 is the initial state."""
@@ -69,26 +98,26 @@ class TransitionGraph:
 
     def cover_graph(self) -> CoverGraph:
         """The edges' endpoints, for the suite generators in ``tsg``."""
-        return CoverGraph(self.state_count, [(e.source, e.destination) for e in self.edges])
+        return CoverGraph(self.state_count, list(zip(self.sources, self.destinations)))
 
     def sink_indices(self) -> list[int]:
-        sources = {e.source for e in self.edges}
+        sources = set(self.sources)
         return [i for i in range(1, self.state_count + 1) if i not in sources]
 
-    def tree_path(self, index: int) -> list[Edge]:
-        """The BFS tree's edges from state 1 to state ``index``.
+    def tree_path(self, index: int) -> list[int]:
+        """The edge ids of the BFS tree's path from state 1 to state ``index``.
 
-        A state's tree edge is its first incoming edge, as ``explore``
+        A state's tree edge is the first edge id into it, as ``explore``
         orders states and edges; a graph file keeps that order.
         """
-        first: list[Edge | None] = [None] * (self.state_count + 1)
-        for e in self.edges:
-            if first[e.destination] is None:
-                first[e.destination] = e
+        first = [-1] * (self.state_count + 1)
+        for eid, dst in enumerate(self.destinations):
+            if first[dst] < 0:
+                first[dst] = eid
         path = []
         while index > 1:
             path.append(first[index])
-            index = path[-1].source
+            index = self.sources[path[-1]]
         path.reverse()
         return path
 
@@ -127,22 +156,15 @@ def explore(model: Model, max_states: int = DEFAULT_STATE_CAP) -> ExploreResult:
     the current level is finished and exploration stops, so the graph's
     tree path to the first violating state is a shortest counterexample.
 
-    The cyclic garbage collector is paused while the graph is built, and
-    its previous state restored however explore ends.  Explore keeps
-    everything it allocates, so a collection here can free nothing, yet
-    each full one rescans the whole graph built so far (9 of them on vr
-    r3 q1 v1).  There is no ``gc.freeze()`` afterwards: it would move
+    The cyclic garbage collector is paused while the graph is built
+    (``collector_paused``); unpaused, it ran 9 full collections on vr r3
+    q1 v1.  There is no ``gc.freeze()`` afterwards: it would move
     every object then alive, the caller's too, out of the collector's
     reach for the rest of the process, so any of them that later became
     cyclic garbage would never be freed.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _explore(model, max_states)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _explore(model: Model, max_states: int) -> ExploreResult:
@@ -150,7 +172,7 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
     init = model.initial_state()
     states: list[ModelState] = [init]
     index_of: dict[ModelState, int] = {init: 1}
-    edges: list[Edge] = []
+    sources, action_ids, destinations = array("I"), array("I"), array("I")
     violations: list[InvariantViolation] = []
 
     def check(state: ModelState, index: int) -> None:
@@ -160,32 +182,36 @@ def _explore(model: Model, max_states: int) -> ExploreResult:
                 violations.append(InvariantViolation(index, inv.name, detail))
 
     check(init, 1)
-    # One object per distinct action, so each action's key is rendered once
-    # when the graph is written.
-    shared: dict[Action, Action] = {}
-    frontier = [1]
+    # Each distinct action's id, keyed by value in first-use order: one object
+    # per action, so each action's key is rendered once when the graph is written.
+    shared: dict[Action, int] = {}
+    frontier = range(1, 2)
     while frontier and not violations:
-        expansions = []
+        # The level's destinations: an index, or a successor new on this level,
+        # folded into one object per value by ``fresh``.
+        fresh: dict[ModelState, ModelState] = {}
+        targets: list[int | ModelState] = []
         for src in frontier:
             state = states[src - 1]
             for action in model.enabled_actions(state):
-                action = shared.setdefault(action, action)
-                expansions.append((src, action, model.apply(state, action)))
-        # Dedup new successors; assign this level's indices in key order.
-        fresh = {succ for _src, _action, succ in expansions if succ not in index_of}
-        level = sorted(fresh, key=ModelState.text)
-        for succ in level:
+                sources.append(src)
+                action_ids.append(shared.setdefault(action, len(shared)))
+                succ = model.apply(state, action)
+                targets.append(index_of.get(succ) or fresh.setdefault(succ, succ))
+        # This level's indices are assigned in key order.
+        first = len(states) + 1
+        for succ in sorted(fresh, key=ModelState.text):
             if len(states) >= max_states:
-                raise StateCapExceededError(max_states, len(states), len(edges))
+                raise StateCapExceededError(max_states, len(states), len(destinations))
             states.append(succ)
             index = len(states)
             index_of[succ] = index
             check(succ, index)
-        for src, action, succ in expansions:
-            edges.append(Edge(src, action, index_of[succ]))
-        frontier = [index_of[succ] for succ in level]
+        destinations.extend([t if type(t) is int else index_of[t] for t in targets])
+        frontier = range(first, len(states) + 1)
 
-    return ExploreResult(TransitionGraph(states, edges), violations)
+    graph = TransitionGraph(states, list(shared), sources, action_ids, destinations)
+    return ExploreResult(graph, violations)
 
 
 @dataclass

@@ -13,7 +13,10 @@ Layout (UTF-8, LF newlines, TAB-separated fields):
 and a header holding any other value there is rejected at line 1.  State
 index 1 is always the initial state and S lines appear in index order;
 edge ids number the E lines from 0.  A graph file reads back into the
-``explore.TransitionGraph`` it was written from.
+``explore.TransitionGraph`` it was written from: E line k is edge k of the
+graph's ``sources``, ``action_ids`` and ``destinations`` columns, and the
+distinct action texts are its ``actions`` in first-use order.  So the
+first edge id into each state is still its BFS tree edge.
 The hash covers every byte after the header line, so readers can reject
 tampered or truncated files, and replay logs can pin the exact suite they
 were produced from.  Writers render, hash and write the body a few
@@ -29,7 +32,8 @@ edges' endpoints of what it returns, ``run`` the whole graph.  Every
 state and action text the program reads, in graph files and in replay
 logs, goes through one ``StateParser`` per file.  It builds each distinct
 part of a state (actor tuple, ``alive``, ``globals``, each event) and
-each distinct action once, keyed by its text, so a file's repetitive
+each distinct action once, keyed by its text (an E line's action id is
+that action's position among them), so a file's repetitive
 states share their parts and an edge's action shares its events with the
 states (hash-consing).  Keying by text keeps ``{"a":1}`` and
 ``{"a":true}`` apart, although they are equal.  A state whose parts all
@@ -73,13 +77,14 @@ import itertools
 import json
 import os
 import re
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 from . import canon
 from .actors import Action, Event
-from .explore import Edge, TransitionGraph
+from .explore import TransitionGraph, collector_paused
 from .model import STATE_ACTORS, STATE_ALIVE, STATE_EVENTS, STATE_GLOBALS, ModelState
 from .tsg import CoverGraph, TestSuite
 
@@ -163,9 +168,11 @@ def _write(path, kind: str, model: str, bounds, stats, body_lines: Iterable[str]
 
 def write_graph_file(path, model_name: str, bounds, graph: TransitionGraph) -> str:
     """Write states and labeled edges; returns the content hash."""
+    actions = graph.actions
     lines = itertools.chain(
         (f"S\t{i}\t{state.text()}" for i, state in enumerate(graph.states, start=1)),
-        (f"E\t{e.source}\t{e.destination}\t{e.action.key()}" for e in graph.edges),
+        (f"E\t{src}\t{dst}\t{actions[aid].key()}"
+         for src, aid, dst in zip(graph.sources, graph.action_ids, graph.destinations)),
     )
     return _write(path, "graph", model_name, bounds, graph.stats_value(), lines)
 
@@ -191,9 +198,11 @@ def write_replay_log(path, suite: SuiteFile, path_id: int, steps: int) -> str:
     Returns the log's content hash.  The log's directory must exist.
     """
     header, graph, eids = suite.header, suite.graph, suite.paths[path_id][:steps]
+    actions, action_ids, destinations = graph.actions, graph.action_ids, graph.destinations
     lines = (
-        f"R\t{edge.action.key()}\t{edge.destination}\t{graph.state(edge.destination).key()}"
-        for edge in map(graph.edges.__getitem__, eids)
+        f"R\t{actions[action_ids[eid]].key()}\t{destinations[eid]}\t"
+        f"{graph.state(destinations[eid]).key()}"
+        for eid in eids
     )
     stats = header.stats.replace(path=path_id, steps=len(eids), suite=header.content_hash)
     return _write(path, "replay", header.model, header.bounds, stats, lines)
@@ -312,7 +321,9 @@ class StateParser:
     def __init__(self):
         self._values: dict[str, object] = {}  # actor tuples, alive and globals
         self._events: dict[str, Event] = {}
-        self._actions: dict[str, Action] = {}
+        self._action_ids: dict[str, int] = {}
+        # The distinct actions, one per text, in first-read order: a graph's ``actions``.
+        self.actions: list[Action] = []
 
     def _value(self, plain):
         text = _RENDER(plain)
@@ -384,62 +395,78 @@ class StateParser:
             events=[self._event(_RENDER(v)) for v in _members(plain["events"])],
         )
 
-    def action(self, text: str) -> Action:
-        """The action of an E or R line's text; one object per distinct text."""
-        action = self._actions.get(text)
-        if action is None:
+    def action_id(self, text: str) -> int:
+        """The position in ``actions`` of an E or R line's action text.
+
+        One id and one object per distinct text.
+        """
+        action_id = self._action_ids.get(text)
+        if action_id is None:
             action = Action.from_value(canon.loads(text))
-            action = self._actions[text] = replace(
+            self.actions.append(replace(
                 action,
                 event=None if action.event is None else self._event(action.event.key()),
-            )
-        return action
+            ))
+            action_id = self._action_ids[text] = len(self.actions) - 1
+        return action_id
+
+    def action(self, text: str) -> Action:
+        """The action of an E or R line's text; one object per distinct text."""
+        return self.actions[self.action_id(text)]
 
 
 def read_graph_file(path) -> tuple[Header, TransitionGraph]:
     """Check the header and hash, then parse S and E lines one at a time.
 
     Only the parsed graph is held, never the file's text; one
-    ``StateParser`` shares the parts of equal text.  The first bad line in
-    file order is reported, except that an edge endpoint can only be
-    checked once every state is known, after the last line.
+    ``StateParser`` shares the parts of equal text and numbers the distinct
+    action texts, and each E line is appended to the edge columns.  The
+    first bad line in file order is reported, except that an edge endpoint
+    can only be checked once every state is known, after the last line.
+    The cyclic collector is paused while the lines are parsed.
     """
     header = read_header(path, ("graph",))
     parser = StateParser()
     states: list[ModelState] = []
-    edges: list[Edge] = []
-    unchecked: list[tuple[int, int, int]] = []  # E lines naming a state not yet read
-    for lineno, fields in _body_lines(path):
-        if fields[0] == "S":
-            if len(fields) != 3:
-                raise MalformedInputError(lineno, "S line needs index and state")
-            try:
-                index = int(fields[1])
-                state = parser.state(fields[2])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise MalformedInputError(lineno, f"bad state: {exc}") from exc
-            if index != len(states) + 1:
-                raise MalformedInputError(lineno, f"state index {index} out of order")
-            states.append(state)
-        elif fields[0] == "E":
-            if len(fields) != 4:
-                raise MalformedInputError(lineno, "E line needs src, dst and action")
-            try:
-                src, dst = int(fields[1]), int(fields[2])
-                action = parser.action(fields[3])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
-            if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
-                unchecked.append((lineno, src, dst))
-            edges.append(Edge(src, action, dst))
-        else:
-            raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
+    sources, action_ids, destinations = array("I"), array("I"), array("I")
+    # (line, edge id, src, dst) of the E lines naming a state not yet read.
+    unchecked: list[tuple[int, int, int, int]] = []
+    with collector_paused():
+        for lineno, fields in _body_lines(path):
+            if fields[0] == "S":
+                if len(fields) != 3:
+                    raise MalformedInputError(lineno, "S line needs index and state")
+                try:
+                    index = int(fields[1])
+                    state = parser.state(fields[2])
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise MalformedInputError(lineno, f"bad state: {exc}") from exc
+                if index != len(states) + 1:
+                    raise MalformedInputError(lineno, f"state index {index} out of order")
+                states.append(state)
+            elif fields[0] == "E":
+                if len(fields) != 4:
+                    raise MalformedInputError(lineno, "E line needs src, dst and action")
+                try:
+                    src, dst = int(fields[1]), int(fields[2])
+                    action_id = parser.action_id(fields[3])
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise MalformedInputError(lineno, f"bad edge: {exc}") from exc
+                if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
+                    unchecked.append((lineno, len(sources), src, dst))
+                    src = dst = 0  # stand-ins until every state is known
+                sources.append(src)
+                action_ids.append(action_id)
+                destinations.append(dst)
+            else:
+                raise MalformedInputError(lineno, f"unknown record {fields[0]!r}")
     if not states:
         raise MalformedInputError(1, "graph file has no states (index 1 required)")
-    for lineno, src, dst in unchecked:
+    for lineno, eid, src, dst in unchecked:
         if not (1 <= src <= len(states) and 1 <= dst <= len(states)):
             raise MalformedInputError(lineno, f"edge endpoint out of range: {src}->{dst}")
-    return header, TransitionGraph(states, edges)
+        sources[eid], destinations[eid] = src, dst
+    return header, TransitionGraph(states, parser.actions, sources, action_ids, destinations)
 
 
 def read_replay_log(path) -> ReplayLog:
@@ -524,6 +551,7 @@ def read_suite_file(path) -> SuiteFile:
             )
         if fields[0] == "G" and graph is None:
             graph = _pinned_graph(header, path.parent, fields, lineno)
+            sources, destinations = graph.sources, graph.destinations
             continue
         if fields[0] != "P" or graph is None:
             raise MalformedInputError(
@@ -538,9 +566,9 @@ def read_suite_file(path) -> SuiteFile:
             raise MalformedInputError(lineno, f"P line claims {count} edges, fields disagree")
         at = 1
         for eid in eids:
-            if not 0 <= eid < len(graph.edges) or graph.edges[eid].source != at:
+            if not 0 <= eid < len(sources) or sources[eid] != at:
                 raise MalformedInputError(lineno, f"edge {eid} does not leave state {at}")
-            at = graph.edges[eid].destination
+            at = destinations[eid]
         paths.append(eids)
     if graph is None:
         raise MalformedInputError(2, "suite file has no G line")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from actorcover.explore import explore
@@ -23,6 +25,15 @@ def _suite_file(tmp_path, model, graph, suite):
     out = tmp_path / f"{model.name}.suite"
     write_suite_file(out, graph_path, read_header(graph_path), suite)
     return read_suite_file(out)
+
+
+@pytest.fixture
+def collector_enabled():
+    """The collector on at the start of a test, and as it was after it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ model types as the file reader does, because what it checks is how the reader
 finds a state's parts, not how a part is built.
 
 ``random_cover_graph`` makes the random graphs the cover solvers are
-checked on.
+checked on, and ``edges`` lists a transition graph's edges from its columns.
 """
 
 from __future__ import annotations
@@ -144,19 +144,26 @@ def reference_dumps(value) -> str:
     raise TypeError(f"not a model value: {value!r}")
 
 
+def edges(graph) -> list[tuple]:
+    """(source, action, destination) of each of a transition graph's edges, by edge id."""
+    return [(src, graph.actions[aid], dst)
+            for src, aid, dst in zip(graph.sources, graph.action_ids, graph.destinations)]
+
+
 def fresh_replay_verdicts(emulator_factory, suite) -> list:
     """Every path's verdict from its own fresh emulator, in path-id order:
     each path's actions from the start, sharing nothing with other paths."""
     from actorcover.conformance import PASS, Verdict, check_step
 
     graph = suite.graph
+    steps = edges(graph)
     verdicts = []
     for path_id, path in enumerate(suite.paths):
         emulator = emulator_factory()
         verdict = Verdict(path_id, PASS)
         for step_index, eid in enumerate(path, start=1):
-            edge = graph.edges[eid]
-            failure = check_step(emulator, edge.action, graph.state(edge.destination))
+            _src, action, dst = steps[eid]
+            failure = check_step(emulator, action, graph.state(dst))
             if failure is not None:
                 verdict = Verdict(path_id, failure[0], step_index, failure[1])
                 break
@@ -176,9 +183,10 @@ def product_search(emulator_factory, graph) -> tuple[dict[int, set], set[int]]:
     """
     from actorcover.conformance import check_step
 
+    steps = edges(graph)
     out_edges: dict[int, list[int]] = {}
-    for eid, edge in enumerate(graph.edges):
-        out_edges.setdefault(edge.source, []).append(eid)
+    for eid, (src, _action, _dst) in enumerate(steps):
+        out_edges.setdefault(src, []).append(eid)
     emulator = emulator_factory()
 
     def key():
@@ -192,14 +200,14 @@ def product_search(emulator_factory, graph) -> tuple[dict[int, set], set[int]]:
         vertex, saved = queue.popleft()
         for eid in out_edges.get(vertex, ()):
             emulator.restore(saved)
-            edge = graph.edges[eid]
-            if check_step(emulator, edge.action, graph.state(edge.destination)) is not None:
+            _src, action, dst = steps[eid]
+            if check_step(emulator, action, graph.state(dst)) is not None:
                 frontier.add(eid)
                 continue
-            state, keys = key(), reached.setdefault(edge.destination, set())
+            state, keys = key(), reached.setdefault(dst, set())
             if state not in keys:
                 keys.add(state)
-                queue.append((edge.destination, emulator.save()))
+                queue.append((dst, emulator.save()))
     return reached, frontier
 
 

@@ -175,6 +175,10 @@ def test_action_log_round_trip():
         ({"kind": "restart", "target": 0, "payload": 1}, "restart takes no payload"),
         ({"kind": "restart", "target": 0, "event": _set_event(1, 0).to_value()},
          "restart takes no event"),
+        # An actor id is a plain non-negative int: not a bool, although True == 1.
+        ({"kind": "crash", "target": True}, "crash target True is not an actor id"),
+        ({"kind": "restart", "target": -1}, "restart target -1 is not an actor id"),
+        ({"kind": "crash", "target": "0"}, "crash target '0' is not an actor id"),
     ],
 )
 def test_an_action_takes_exactly_the_fields_of_its_kind(value, says):

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from actorcover import canon, dot, suitefile, systems
 from actorcover import cli as cli_module
 from actorcover.actors import EXTERNAL, Action, Event
 from actorcover.cli import build_parser, main
-from actorcover.explore import Edge, TransitionGraph
+from actorcover.explore import TransitionGraph
 from actorcover.model import ModelState
 from actorcover.suitefile import read_header
 from actorcover.systems import get_system
@@ -198,7 +199,9 @@ def test_dot_escapes_quotes_and_backslashes():
     state = ModelState(actors=(None,), alive=(True,), globals_=canon.Record(), events=frozenset())
     action = Action.inject(event)
     assert r'"say \"hi\" \\ bye"' in action.key()
-    text = dot.export_dot(TransitionGraph([state, state], [Edge(1, action, 2)]))
+    graph = TransitionGraph([state, state], [action], array("I", [1]), array("I", [0]),
+                            array("I", [2]))
+    text = dot.export_dot(graph)
     edge_line = text.splitlines()[3]
     assert r'\"say \\\"hi\\\" \\\\ bye\"' in edge_line
     assert _unescape(DOT_LABEL.match(edge_line).group(3)) == action.key()
@@ -457,9 +460,14 @@ def with_field(header: bytes, name: bytes, value: bytes) -> bytes:
         (lambda log, header, body: rewrite_bytes(
             log, header, [b"\t".join([b"R", b'{"kind":"deliver"}', *body[0].split(b"\t")[2:]])]
             + body[1:]), 2, "bad replay step: deliver requires an event"),
+        (lambda log, header, body: rewrite_bytes(
+            log, header, [b"\t".join([b"R", b'{"kind":"crash","target":true}',
+                                      *body[0].split(b"\t")[2:]])] + body[1:]), 2,
+         "bad replay step: crash target True is not an actor id"),
     ],
     ids=["empty", "header-not-json", "stats-without-suite", "step-with-3-fields",
-         "bounds-missing-a-field", "bounds-without-replicas", "step-without-an-event"],
+         "bounds-missing-a-field", "bounds-without-replicas", "step-without-an-event",
+         "crash-of-true"],
 )
 def test_replay_rejects_a_malformed_log_with_its_line(vr_log, tmp_path, capsys, damage, line,
                                                       says):
@@ -699,11 +707,17 @@ def same_bad_action(body):
          "bad edge: crash takes no drops"),
         # A kind that is none takes no fields at all; the kind is named, not a key.
         (first_action(b'{"kind":"explode","x":1}'), 312, "bad edge: unknown action kind 'explode'"),
+        # An actor id is a non-negative int, and true is not one, although True == 1.
+        (first_action(b'{"kind":"crash","target":true}'), 312,
+         "bad edge: crash target True is not an actor id"),
+        (first_action(b'{"kind":"restart","target":-1}'), 312,
+         "bad edge: restart target -1 is not an actor id"),
     ],
     ids=["endpoint-out-of-range", "unknown-record", "state-not-utf8", "edge-not-utf8",
          "state-without-events", "event-without-kind", "state-is-an-int", "events-not-json",
          "set-of-an-int", "same-bad-action-twice", "deliver-without-event",
-         "inject-with-a-target", "crash-with-drops", "unknown-kind-with-a-stray-key"],
+         "inject-with-a-target", "crash-with-drops", "unknown-kind-with-a-stray-key",
+         "crash-of-true", "restart-of-minus-one"],
 )
 def test_gensuite_rejects_a_bad_graph_line_with_its_line(work, capsys, edit, line, says):
     # run reads the same graph through its suite and rejects it at the same line.
@@ -920,10 +934,8 @@ def test_explore_ignores_empty_fault_items(capsys, model, faults, same_as):
 
 @pytest.mark.parametrize(
     "action, detail",
-    [(b'{"kind":"restart","target":0}', "actor 0 is not crashed"),
-     # An actor id is an int, and true is not one, although True == 1.
-     (b'{"kind":"crash","target":true}', "no such actor: True")],
-    ids=["restart-of-a-live-actor", "crash-of-true"],
+    [(b'{"kind":"restart","target":0}', "actor 0 is not crashed")],
+    ids=["restart-of-a-live-actor"],
 )
 def test_run_reports_an_illegal_action_and_replays_it(work, capsys, action, detail):
     # The first edge leaves state 1; 52 of the 108 paths take it and fail there, together.

@@ -140,9 +140,10 @@ def test_a_log_ends_at_its_failing_step(vr_min_suite, mutant, tmp_path):
     for verdict, log in zip([v for v in report.verdicts if not v.passed], report.replay_logs):
         assert read_header(log).stats["steps"] == verdict.failing_step
         steps = read_replay_log(log).steps
-        edges = [graph.edges[eid] for eid in failing_prefix(vr_min_suite, verdict)]
+        eids = failing_prefix(vr_min_suite, verdict)
         assert [(a.key(), dest, state) for a, dest, state in steps] == [
-            (e.action.key(), e.destination, graph.state(e.destination)) for e in edges]
+            (graph.actions[graph.action_ids[eid]].key(), graph.destinations[eid],
+             graph.state(graph.destinations[eid])) for eid in eids]
 
 
 @pytest.mark.parametrize("mutant", KILLING_MUTANTS)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+from array import array
 import tracemalloc
 import weakref
 
@@ -10,6 +11,7 @@ from actorcover.actors import Action, Event
 from actorcover.dot import export_dot
 from actorcover.explore import (
     StateCapExceededError,
+    TransitionGraph,
     check_quiescent_progress,
     explore,
 )
@@ -25,6 +27,7 @@ from actorcover.suitefile import read_graph_file, write_graph_file
 from actorcover.systems.kv import KvBounds, KvModel, _corrupted_payload
 from actorcover.systems.vr import VrBounds, VrModel
 from conftest import KV_BOUNDS, VR_BOUNDS
+from oracles import edges
 
 
 class CounterModel(Model):
@@ -85,7 +88,7 @@ def test_kv_single_actor_graph_shape():
     graph = result.graph
     assert graph.state_count == 3
     assert graph.edge_count == 2
-    kinds = [e.action.kind for e in graph.edges]
+    kinds = [action.kind for _src, action, _dst in edges(graph)]
     assert kinds == ["inject", "deliver"]
 
 
@@ -102,8 +105,8 @@ def test_kv_corrupts_each_set_request_at_most_once():
     graph = explore(model).graph
     # Inject, then deliver the request or corrupt it and deliver that.
     assert (graph.state_count, graph.edge_count) == (5, 4)
-    corrupt = next(e for e in graph.edges if e.action.kind == "corrupt")
-    state = graph.state(corrupt.destination)
+    corrupt = next(dst for _src, action, dst in edges(graph) if action.kind == "corrupt")
+    state = graph.state(corrupt)
     (event,) = state.events
     assert event.payload["value"] == "corrupt:v1"
     assert all(a.kind != "corrupt" for a in model.enabled_actions(state))
@@ -132,10 +135,10 @@ def test_every_state_reachable_from_root():
     while frontier:
         nxt = []
         for u in frontier:
-            for e in graph.edges:
-                if e.source == u and e.destination not in seen:
-                    seen.add(e.destination)
-                    nxt.append(e.destination)
+            for src, dst in zip(graph.sources, graph.destinations):
+                if src == u and dst not in seen:
+                    seen.add(dst)
+                    nxt.append(dst)
         frontier = nxt
     assert seen == set(range(1, graph.state_count + 1))
 
@@ -145,8 +148,8 @@ def test_exploring_twice_yields_identical_graphs():
     first = explore(model).graph
     second = explore(model).graph
     assert [s.key() for s in first.states] == [s.key() for s in second.states]
-    assert [(e.source, e.action.key(), e.destination) for e in first.edges] == [
-        (e.source, e.action.key(), e.destination) for e in second.edges
+    assert [(src, a.key(), dst) for src, a, dst in edges(first)] == [
+        (src, a.key(), dst) for src, a, dst in edges(second)
     ]
 
 
@@ -163,37 +166,37 @@ def test_invariant_violation_has_shortest_counterexample():
     assert violation.name == "BelowFailure"
     path = result.graph.tree_path(violation.state_index)
     assert len(path) == 4  # four ticks reach the bad state
-    assert path[-1].destination == violation.state_index
+    assert result.graph.destinations[path[-1]] == violation.state_index
 
 
 def test_commutativity_diamond_on_kv_graph():
     graph = explore(KvModel(KvBounds(actors=2, max_sets=2))).graph
     by_source = {}
-    for e in graph.edges:
-        by_source.setdefault(e.source, []).append(e)
+    for src, action, dst in edges(graph):
+        by_source.setdefault(src, []).append((action, dst))
     diamonds = 0
     for index in range(1, graph.state_count + 1):
         delivers = [
-            e
-            for e in by_source.get(index, [])
-            if e.action.kind == "deliver"
+            (action, dst)
+            for action, dst in by_source.get(index, [])
+            if action.kind == "deliver"
         ]
-        for i, first in enumerate(delivers):
-            for second in delivers[i + 1 :]:
-                if first.action.event.destination == second.action.event.destination:
+        for i, (first, first_dst) in enumerate(delivers):
+            for second, second_dst in delivers[i + 1 :]:
+                if first.event.destination == second.event.destination:
                     continue
                 after_first = {
-                    e.action.event: e.destination
-                    for e in by_source.get(first.destination, [])
-                    if e.action.kind == "deliver"
+                    action.event: dst
+                    for action, dst in by_source.get(first_dst, [])
+                    if action.kind == "deliver"
                 }
                 after_second = {
-                    e.action.event: e.destination
-                    for e in by_source.get(second.destination, [])
-                    if e.action.kind == "deliver"
+                    action.event: dst
+                    for action, dst in by_source.get(second_dst, [])
+                    if action.kind == "deliver"
                 }
-                meet_a = after_first.get(second.action.event)
-                meet_b = after_second.get(first.action.event)
+                meet_a = after_first.get(second.event)
+                meet_b = after_second.get(first.event)
                 assert meet_a is not None and meet_a == meet_b
                 diamonds += 1
     assert diamonds > 0
@@ -254,7 +257,8 @@ def test_a_state_from_a_set_of_events_is_the_model_state(vr_graph):
 
 def test_explore_keeps_its_states_compact():
     """Under tracemalloc, the vr r2 q2 v1 graph with its model retains at most
-    2.4 MB (3.2 MB when each state held a frozenset and a ``__dict__``)."""
+    1.6 MB (1.36 MB with its edges in columns, 1.93 MB with one object per
+    edge, and 3.2 MB when each state also held a frozenset and a ``__dict__``)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -264,7 +268,7 @@ def test_explore_keeps_its_states_compact():
     finally:
         tracemalloc.stop()
     assert result.graph.state_count == 4805
-    assert retained <= 2.4e6, f"explore retains {retained / 1e6:.2f} MB"
+    assert retained <= 1.6e6, f"explore retains {retained / 1e6:.2f} MB"
 
 
 def test_canonical_key_stable_listing():
@@ -293,12 +297,16 @@ def test_graph_files_are_pinned_byte_for_byte(request, tmp_path, name):
     # Read back through the state parser, the graph writes the same bytes.
     _header, read = read_graph_file(first)
     assert read.states == graph.states
-    assert read.edges == graph.edges
+    # The columns explore built, and its actions in the same first-use order.
+    assert read.sources == graph.sources
+    assert read.action_ids == graph.action_ids
+    assert read.destinations == graph.destinations
+    assert [a.key() for a in read.actions] == [a.key() for a in graph.actions]
+    assert read.actions == graph.actions
     # The parser shares events by text: the states' with each other and with the actions'.
     events = {}
-    actions = {e.action for e in read.edges}
     for event in ([e for s in read.states for e in s.events]
-                  + [a.event for a in actions]):
+                  + [a.event for a in read.actions]):
         assert event is None or events.setdefault(event.key(), event) is event
     write_graph_file(second, model.name, model.bounds_value(), read)
     assert second.read_bytes() == first.read_bytes()
@@ -330,10 +338,10 @@ def test_bench_graph_files_are_pinned_byte_for_byte(tmp_path, name):
     model = make_model()
     result = explore(model)
     assert result.ok
-    # Each distinct action is one object on the edges.
-    actions = {}
-    for edge in result.graph.edges:
-        assert actions.setdefault(edge.action, edge.action) is edge.action
+    # Each distinct action is one object, and one id, on the edges.
+    actions = result.graph.actions
+    assert len(set(actions)) == len(actions)
+    assert set(result.graph.action_ids) == set(range(len(actions)))
     path = tmp_path / "graph.ac1"
     write_graph_file(path, model.name, model.bounds_value(), result.graph)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -383,10 +391,22 @@ def test_the_diameter_is_the_depth_of_the_bfs_tree(request, bench_graph, name):
     path = graph.tree_path(graph.state_count)
     assert len(path) == graph.diameter()
     at = 1
-    for edge in path:
-        assert edge.source == at
-        at = edge.destination
+    for eid in path:
+        assert graph.sources[eid] == at
+        at = graph.destinations[eid]
     assert at == graph.state_count
+
+
+def test_the_tree_path_takes_the_first_edge_id_into_each_state():
+    # 0: 1->2, 1: 1->2 (parallel), 2: 2->2 (self-loop), 3: 2->3, 4: 1->3, 5: 3->4, 6: 2->4.
+    ticks = [Action.inject(Event("Tick", {"n": n}, -1, 0)) for n in range(2)]
+    pairs = [(1, 2), (1, 2), (2, 2), (2, 3), (1, 3), (3, 4), (2, 4)]
+    graph = TransitionGraph(
+        [CounterModel(0).initial_state()] * 4, ticks,
+        array("I", [src for src, _dst in pairs]), array("I", [n % 2 for n in range(7)]),
+        array("I", [dst for _src, dst in pairs]))
+    assert [graph.tree_path(index) for index in (1, 2, 3, 4)] == [[], [0], [0, 3], [0, 3, 5]]
+    assert graph.diameter() == 3
 
 
 class GcProbe(CounterModel):
@@ -405,15 +425,6 @@ class GcProbe(CounterModel):
         if state.actors[0]["count"] == self.fail_at_apply:
             raise RuntimeError("model error")
         return super().apply(state, action)
-
-
-@pytest.fixture
-def collector_enabled():
-    """The collector on at the start of a test, and as it was after it."""
-    was = gc.isenabled()
-    gc.enable()
-    yield
-    (gc.enable if was else gc.disable)()
 
 
 def test_explore_pauses_the_collector_and_enables_it_again(collector_enabled):

@@ -5,6 +5,8 @@ and ``run`` replays it; the CLI tests check that both reject a damaged
 graph at the same line.
 """
 
+import gc
+import hashlib
 import json
 import random
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 
 from actorcover import canon
 from actorcover.actors import EXTERNAL, Action, Event
-from actorcover.explore import Edge, TransitionGraph
+from actorcover.explore import TransitionGraph
 from actorcover.model import ModelState
 from actorcover.suitefile import (
     MalformedInputError,
@@ -46,11 +48,96 @@ def test_the_cover_reader_gives_the_graph_readers_endpoints(graph_file):
     header, graph = read_graph_file(path)
     assert header == read_header(path)
     assert graph.cover_graph() == written.cover_graph()
-    # Each distinct action text is parsed once: one Action object per text.
-    actions = {}
-    for edge in graph.edges:
-        assert actions.setdefault(edge.action.key(), edge.action) is edge.action
-    assert len({id(edge.action) for edge in graph.edges}) == len(actions)
+    # Each distinct action text is parsed once: one Action object and one id per text.
+    texts = [line.split("\t")[3] for line in path.read_text(encoding="utf-8").splitlines()
+             if line.startswith("E\t")]
+    assert [graph.actions[aid].key() for aid in graph.action_ids] == texts
+    assert [a.key() for a in graph.actions] == list(dict.fromkeys(texts))
+    assert len({id(a) for a in graph.actions}) == len(graph.actions)
+
+
+def rehashed(path, body: list[str]):
+    """Rewrite the graph file at ``path`` with ``body`` lines under a header hashing them."""
+    header = path.read_text(encoding="utf-8").splitlines()[0].rsplit("\t", 1)[0]
+    data = "".join(line + "\n" for line in body).encode("utf-8")
+    path.write_bytes(f"{header}\thash={hashlib.sha256(data).hexdigest()}\n".encode() + data)
+    return path
+
+
+def test_an_edge_may_come_before_the_states_it_names(vr_graph, tmp_path):
+    model, graph = vr_graph
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), graph)
+    body = path.read_text(encoding="utf-8").splitlines()[1:]
+    states = [line for line in body if line.startswith("S\t")]
+    edge_lines = [line for line in body if line.startswith("E\t")]
+    _header, read = read_graph_file(rehashed(path, edge_lines + states))
+    assert read.states == graph.states
+    assert read.sources == graph.sources
+    assert read.destinations == graph.destinations
+    assert read.action_ids == graph.action_ids
+
+
+@pytest.mark.parametrize("endpoints", ["-1\t2", "1\t4294967296", "0\t1"],
+                         ids=["negative", "beyond-32-bits", "zero"])
+def test_an_endpoint_no_column_can_hold_is_rejected_at_its_line(vr_graph, tmp_path, endpoints):
+    model, graph = vr_graph
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), graph)
+    body = path.read_text(encoding="utf-8").splitlines()[1:]
+    at = next(i for i, line in enumerate(body) if line.startswith("E\t"))
+    body[at] = "\t".join(["E", endpoints, body[at].split("\t")[3]])
+    with pytest.raises(MalformedInputError, match="edge endpoint out of range") as info:
+        read_graph_file(rehashed(path, body))
+    assert info.value.line == at + 2
+
+
+def _probed(monkeypatch) -> list[bool]:
+    """Whether the collector is enabled at each state the graph reader parses."""
+    seen, state = [], StateParser.state
+
+    def probe(self, text):
+        seen.append(gc.isenabled())
+        return state(self, text)
+
+    monkeypatch.setattr(StateParser, "state", probe)
+    return seen
+
+
+def test_the_graph_reader_pauses_the_collector_and_enables_it_again(
+        collector_enabled, vr_graph, tmp_path, monkeypatch):
+    model, graph = vr_graph
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), graph)
+    seen = _probed(monkeypatch)
+    read_graph_file(path)
+    assert seen == [False] * graph.state_count
+    assert gc.isenabled()
+
+
+def test_the_collector_is_enabled_again_when_the_graph_reader_rejects_a_line(
+        collector_enabled, vr_graph, tmp_path, monkeypatch):
+    model, graph = vr_graph
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), graph)
+    body = path.read_text(encoding="utf-8").splitlines()[1:]
+    seen = _probed(monkeypatch)
+    with pytest.raises(MalformedInputError, match="unknown record 'X'"):
+        read_graph_file(rehashed(path, body[:5] + ["X\t1"] + body[5:]))
+    assert seen == [False] * 5
+    assert gc.isenabled()
+
+
+def test_the_graph_reader_leaves_a_disabled_collector_disabled(
+        collector_enabled, vr_graph, tmp_path, monkeypatch):
+    model, graph = vr_graph
+    path = tmp_path / "graph.ac1"
+    write_graph_file(path, model.name, model.bounds_value(), graph)
+    gc.disable()
+    seen = _probed(monkeypatch)
+    read_graph_file(path)
+    assert seen == [False] * graph.state_count
+    assert not gc.isenabled()
 
 
 def _parts(state: ModelState) -> list:
@@ -273,11 +360,13 @@ class Unrenderable:
 def test_a_write_that_fails_partway_leaves_a_file_rejected_at_line_1(vr_graph, tmp_path):
     model, graph = vr_graph
     # Edge 400 is body line 711: the first lines are on disk when it fails.
-    edges = list(graph.edges)
-    edges[400] = Edge(edges[400].source, Unrenderable(), edges[400].destination)
+    action_ids = graph.action_ids[:]
+    action_ids[400] = len(graph.actions)
+    damaged_graph = TransitionGraph(graph.states, [*graph.actions, Unrenderable()],
+                                    graph.sources, action_ids, graph.destinations)
     path = tmp_path / "graph.ac1"
     with pytest.raises(RuntimeError, match="cannot render"):
-        write_graph_file(path, model.name, model.bounds_value(), TransitionGraph(graph.states, edges))
+        write_graph_file(path, model.name, model.bounds_value(), damaged_graph)
     assert path.read_bytes().count(b"\nS\t") > 0
     for read in (read_header, read_graph_file):
         with pytest.raises(MalformedInputError, match="content hash mismatch") as info:

@@ -15,6 +15,7 @@ from actorcover.systems.vr import (
     committed_prefix,
     initial_replica,
 )
+from oracles import edges
 
 
 def timeout_event(replica, view):
@@ -215,9 +216,9 @@ def test_view_change_quiesces_with_elected_master():
 
 def test_committed_prefixes_only_extend_along_edges():
     _model, graph = explore_vr(2, 1, 1)
-    for edge in graph.edges:
-        src = graph.state(edge.source)
-        dst = graph.state(edge.destination)
+    for source, destination in zip(graph.sources, graph.destinations):
+        src = graph.state(source)
+        dst = graph.state(destination)
         for before, after in zip(src.actors, dst.actors):
             prefix = committed_prefix(before)
             assert committed_prefix(after)[: len(prefix)] == prefix
@@ -299,14 +300,15 @@ def test_commit_without_quorum_bug_is_caught_by_invariant():
         == QUORUM_BUG_VIOLATIONS
     )
     violation = result.violations[0]
-    path = result.graph.tree_path(violation.state_index)
-    assert (digest_lines((e.action.key(), e.destination) for e in path)
+    steps = edges(result.graph)
+    path = [steps[eid] for eid in result.graph.tree_path(violation.state_index)]
+    assert (digest_lines((action.key(), dst) for _src, action, dst in path)
             == QUORUM_BUG_COUNTEREXAMPLE)
     # The counterexample replays from the initial state to the bad state.
     state = model.initial_state()
-    for edge in path:
-        state = model.apply(state, edge.action)
-    assert violation.state_index == path[-1].destination
+    for _src, action, _dst in path:
+        state = model.apply(state, action)
+    assert violation.state_index == path[-1][2]
     assert model._check_prefix_consistency(state) is not None
 
 
@@ -374,4 +376,5 @@ def test_enabled_actions_reuse_one_action_per_event_in_sort_token_order(vr_graph
         shuffle(fresh)
         fresh.sort(key=Action.sort_token)
         assert [a.key() for a in fresh] == [a.key() for a in actions]
-    assert {(e.action.kind, e.action.event.key()) for e in graph.edges} == seen.keys()
+    assert {(graph.actions[aid].kind, graph.actions[aid].event.key())
+            for aid in graph.action_ids} == seen.keys()
