@@ -57,9 +57,10 @@ class StateCapExceededError(Exception):
 def collector_paused():
     """Pause the cyclic garbage collector; its previous state is restored however the block ends.
 
-    For the two graph builders, ``explore`` and ``suitefile.read_graph_file``.
-    Each keeps everything it allocates, so a collection there can free
-    nothing, yet each full one rescans the whole graph built so far.
+    For the two functions that build a graph, ``explore`` and
+    ``suitefile.read_graph_file``.  Each keeps everything it allocates, so
+    a collection there can free nothing, yet each full one rescans the
+    whole graph built so far.
     """
     enabled = gc.isenabled()
     gc.disable()

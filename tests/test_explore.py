@@ -1,8 +1,8 @@
 import gc
 import hashlib
-from array import array
 import tracemalloc
 import weakref
+from array import array
 
 import pytest
 

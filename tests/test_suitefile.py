@@ -64,14 +64,21 @@ def rehashed(path, body: list[str]):
     return path
 
 
-def test_an_edge_may_come_before_the_states_it_names(vr_graph, tmp_path):
+@pytest.fixture
+def vr_file(vr_graph, tmp_path):
+    """The conftest vr graph's file, and its body lines."""
     model, graph = vr_graph
     path = tmp_path / "graph.ac1"
     write_graph_file(path, model.name, model.bounds_value(), graph)
-    body = path.read_text(encoding="utf-8").splitlines()[1:]
+    return path, path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_an_edge_may_come_before_the_states_it_names(vr_graph, vr_file):
+    path, body = vr_file
     states = [line for line in body if line.startswith("S\t")]
     edge_lines = [line for line in body if line.startswith("E\t")]
     _header, read = read_graph_file(rehashed(path, edge_lines + states))
+    graph = vr_graph[1]
     assert read.states == graph.states
     assert read.sources == graph.sources
     assert read.destinations == graph.destinations
@@ -80,11 +87,8 @@ def test_an_edge_may_come_before_the_states_it_names(vr_graph, tmp_path):
 
 @pytest.mark.parametrize("endpoints", ["-1\t2", "1\t4294967296", "0\t1"],
                          ids=["negative", "beyond-32-bits", "zero"])
-def test_an_endpoint_no_column_can_hold_is_rejected_at_its_line(vr_graph, tmp_path, endpoints):
-    model, graph = vr_graph
-    path = tmp_path / "graph.ac1"
-    write_graph_file(path, model.name, model.bounds_value(), graph)
-    body = path.read_text(encoding="utf-8").splitlines()[1:]
+def test_an_endpoint_no_column_can_hold_is_rejected_at_its_line(vr_file, endpoints):
+    path, body = vr_file
     at = next(i for i, line in enumerate(body) if line.startswith("E\t"))
     body[at] = "\t".join(["E", endpoints, body[at].split("\t")[3]])
     with pytest.raises(MalformedInputError, match="edge endpoint out of range") as info:
@@ -105,22 +109,16 @@ def _probed(monkeypatch) -> list[bool]:
 
 
 def test_the_graph_reader_pauses_the_collector_and_enables_it_again(
-        collector_enabled, vr_graph, tmp_path, monkeypatch):
-    model, graph = vr_graph
-    path = tmp_path / "graph.ac1"
-    write_graph_file(path, model.name, model.bounds_value(), graph)
+        collector_enabled, vr_file, monkeypatch):
     seen = _probed(monkeypatch)
-    read_graph_file(path)
+    _header, graph = read_graph_file(vr_file[0])
     assert seen == [False] * graph.state_count
     assert gc.isenabled()
 
 
 def test_the_collector_is_enabled_again_when_the_graph_reader_rejects_a_line(
-        collector_enabled, vr_graph, tmp_path, monkeypatch):
-    model, graph = vr_graph
-    path = tmp_path / "graph.ac1"
-    write_graph_file(path, model.name, model.bounds_value(), graph)
-    body = path.read_text(encoding="utf-8").splitlines()[1:]
+        collector_enabled, vr_file, monkeypatch):
+    path, body = vr_file
     seen = _probed(monkeypatch)
     with pytest.raises(MalformedInputError, match="unknown record 'X'"):
         read_graph_file(rehashed(path, body[:5] + ["X\t1"] + body[5:]))
@@ -129,13 +127,10 @@ def test_the_collector_is_enabled_again_when_the_graph_reader_rejects_a_line(
 
 
 def test_the_graph_reader_leaves_a_disabled_collector_disabled(
-        collector_enabled, vr_graph, tmp_path, monkeypatch):
-    model, graph = vr_graph
-    path = tmp_path / "graph.ac1"
-    write_graph_file(path, model.name, model.bounds_value(), graph)
+        collector_enabled, vr_file, monkeypatch):
     gc.disable()
     seen = _probed(monkeypatch)
-    read_graph_file(path)
+    _header, graph = read_graph_file(vr_file[0])
     assert seen == [False] * graph.state_count
     assert not gc.isenabled()
 
